@@ -16,8 +16,8 @@ from .bounds import (Thresholds, chi1, chi_inf, chi_p, hdiff_bound, kappa,
                      thresholds)
 from .potential import (HFunctionTable, MeasureEstimate, OffCenterDisk,
                         WosConfig, estimate_h, exact_offcenter_disk_h,
-                        exact_slit_disk_gate, fd_harmonic_measure,
-                        feature_measures, wos_exit_ensemble)
+                        exact_slit_disk_gate, feature_measures,
+                        wos_exit_ensemble)
 from .fd import FdSolver
 from .construct import (CheckReport, ConstructionReport, SolveError,
                         SolveSettings, build_blocked, check_candidate,

@@ -29,8 +29,6 @@ __all__ = [
     "chi_p",
     "chi_inf",
     "chi_inf_inverse",
-    "deriv_radius_bound",
-    "deriv_eta_bound",
     "thresholds",
     "kappa",
     "kappa_conditions_report",
@@ -109,7 +107,8 @@ def arc_lower_bound(beta: float, r_k: float, M: float) -> float | None:
 
 
 def _check_delta(delta: float, mu: float, M: float) -> None:
-    if not (0 < delta <= M - mu):
+    # A few ulps of slack: M - mu can round below the width M was built from.
+    if not (0 < delta <= M - mu + 4.0 * math.ulp(M)):
         raise ValueError("need 0 < delta <= M - mu")
 
 
@@ -155,21 +154,6 @@ def chi_inf_inverse(eps: float, alpha: float, mu: float, M: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def deriv_radius_bound(psi_k: float, alpha: float, mu: float, M: float) -> float:
-    """Bound M - r_k <= ((M - mu)/(alpha pi)) (pi - psi_k) for any arc."""
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
-    return (M - mu) / (alpha * math.pi) * (math.pi - psi_k)
-
-
-def deriv_eta_bound(gap: float, alpha: float, mu: float, M: float) -> float:
-    """Bound on the depth of the shortest arc between two arcs separated by
-    ``gap`` in radius; identical to chi_inf(gap)."""
-    if gap == 0:
-        return 0.0
-    return chi_inf(gap, alpha, mu, M)
 
 
 # ---------------------------------------------------------------------------

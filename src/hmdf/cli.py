@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, construct, geometry, hfunction, potential
+from . import construct, geometry, hfunction, potential
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
 from .potential import OffCenterDisk, WosConfig
@@ -43,9 +43,16 @@ class InputError(ValueError):
 # File formats.
 
 
-def load_domain(path: str):
+def _load_object(path: str, what: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: malformed {what} file (top level is not an object)")
+    return data
+
+
+def load_domain(path: str):
+    data = _load_object(path, "domain")
     kind = data.get("kind")
     try:
         if kind == "circle":
@@ -81,8 +88,7 @@ def dump_domain(dom, path: str) -> None:
 
 
 def load_function(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_object(path, "function")
     kind = data.get("kind")
     try:
         if kind == "candidate":
@@ -143,13 +149,12 @@ def render_domain_svg(dom) -> str:
         x0, y0 = _pt(0j, scale)
         body.append(f'<circle cx="{x0}" cy="{y0}" r="3" fill="red"/>')
         return _svg_doc(body)
-    base = dom.base if isinstance(dom, BlockedCircleDomain) else dom
-    M = base.outer_radius
+    M = dom.outer_radius
     scale = (_SVG_SIZE / 2 - 20) / M
     cx, cy = _pt(0j, scale)
     body.append(f'<circle cx="{cx}" cy="{cy}" r="{format(M * scale, ".3f")}" '
                 'fill="none" stroke="black" stroke-width="2"/>')
-    for arc in base.arcs[:-1]:
+    for arc in dom.base.arcs[:-1]:
         r, psi = arc.radius, arc.half_arclength
         if psi <= 0.0:
             x, y = _pt(complex(r, 0.0), scale)
@@ -163,15 +168,14 @@ def render_domain_svg(dom) -> str:
         large = 1 if psi > math.pi / 2 else 0
         body.append(f'<path d="M {x0} {y0} A {rr} {rr} 0 {large} 0 {x1} {y1}" '
                     'fill="none" stroke="black" stroke-width="2"/>')
-    if isinstance(dom, BlockedCircleDomain):
-        radii = base.radii
-        for k, phi in enumerate(dom.gate_angles):
-            for sgn in ((1.0,) if phi == 0.0 else (1.0, -1.0)):
-                w = complex(math.cos(sgn * phi), math.sin(sgn * phi))
-                x0, y0 = _pt(radii[k] * w, scale)
-                x1, y1 = _pt(radii[k + 1] * w, scale)
-                body.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-                            'stroke="blue" stroke-width="2"/>')
+    radii = dom.radii
+    for k, phi in enumerate(dom.phis.tolist()):
+        for sgn in ((1.0,) if phi == 0.0 else (1.0, -1.0)):
+            w = complex(math.cos(sgn * phi), math.sin(sgn * phi))
+            x0, y0 = _pt(radii[k] * w, scale)
+            x1, y1 = _pt(radii[k + 1] * w, scale)
+            body.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
+                        'stroke="blue" stroke-width="2"/>')
     x0, y0 = _pt(0j, scale)
     body.append(f'<circle cx="{x0}" cy="{y0}" r="3" fill="red"/>')
     return _svg_doc(body)
@@ -266,14 +270,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_compute(args) -> int:
     dom = load_domain(args.domain)
-    if isinstance(dom, (CircleDomain, BlockedCircleDomain)):
-        bad = [v for v in geometry.validate(dom) if not v.startswith("warning:")]
-        if bad:
-            raise InputError("; ".join(bad))
-        mu = dom.mu
-    else:
-        mu = dom.mu
-    M = dom.outer_radius
+    if not isinstance(dom, OffCenterDisk):
+        geometry.check_usable(dom)
+    mu, M = dom.mu, dom.outer_radius
     if args.radii:
         radii = sorted(float(x) for x in args.radii.split(","))
     else:
@@ -303,11 +302,7 @@ def cmd_invert(args) -> int:
     settings = construct.SolveSettings(engine=args.engine, resolution=args.resolution,
                                        tol=args.tol, wos_samples=args.samples,
                                        epsilon=args.eps, seed=args.seed)
-    try:
-        res = construct.solve_circle_domain(f, settings)
-    except construct.SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    res = construct.solve_circle_domain(f, settings)
     dump_domain(res.domain, args.out)
     print(f"converged in {res.sweeps} sweeps, residual {res.residual:.3e} "
           f"(tolerance {res.tol_effective:.3e})")
@@ -338,11 +333,7 @@ def cmd_construct(args) -> int:
     n_list = tuple(int(x) for x in args.n.split(","))
     settings = construct.SolveSettings(tol=args.tol, resolution=args.resolution,
                                        epsilon=args.eps, seed=args.seed)
-    try:
-        rep = construct.run_pipeline(f, n_list, settings, verify_samples=args.samples)
-    except construct.SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    rep = construct.run_pipeline(f, n_list, settings, verify_samples=args.samples)
     for st in rep.stages:
         print(f"n={st.n}: sup-gap {st.sup_gap:.4f} (se {st.sup_gap_se:.4f}), "
               f"sigma_n={st.sigma_n}, hdiff bound {st.hdiff:.4f}, "
@@ -382,11 +373,11 @@ def cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {"compute": cmd_compute, "invert": cmd_invert,
                 "construct": cmd_construct, "check": cmd_check,
                 "render": cmd_render}
     try:
+        args = _parser().parse_args(argv)  # HMDF_* defaults are read here
         return handlers[args.command](args)
     except (InputError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

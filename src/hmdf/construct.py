@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SolveSettings:
     engine: str = "fd"          # "fd" | "wos"
     resolution: int = 512       # fd angular resolution
     tol: float = 1e-3           # sup-norm cumulative-measure tolerance
-    max_sweeps: int = 60
+    max_sweeps: int = 60        # budget of measure evaluations
     wos_samples: int = 200_000  # per wos measurement / sweep
     epsilon: float = 1e-5
     seed: int = 0
@@ -92,7 +92,7 @@ def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int):
                             WosConfig(epsilon=settings.epsilon,
                                       seed=settings.seed + 7919 * sweep))
     m = np.zeros(n)
-    arcs = ens.kinds == 0
+    arcs = ens.kinds == geometry.ARC
     np.add.at(m, ens.indices[arcs], np.ones(arcs.sum()))
     m /= max(ens.sample_count, 1)
     dens = np.maximum(m / (2.0 * dom.psis[:-1]), 0.05)
@@ -105,12 +105,12 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
 
     The arc radii are the jump radii; the last jump radius is the outer
     circle.  The half-arclengths are found in two phases: damped
-    diagonal-secant sweeps bring the cumulative measures close, then a
-    finite-difference Jacobian with rank-one (Broyden) refreshes finishes
-    the strongly coupled cases quadratically.  One measure evaluation per
-    step; the loop polishes well below the requested tolerance so the
-    angles themselves are pinned down.  Raises SolveError on
-    non-convergence.
+    diagonal-secant sweeps bring the cumulative measures close, then (fd
+    engine) a finite-difference Jacobian with rank-one (Broyden) refreshes
+    finishes the strongly coupled cases quadratically.  One measure
+    evaluation per step, at most ``settings.max_sweeps`` in all; the loop
+    polishes well below the requested tolerance so the angles themselves
+    are pinned down.  Raises SolveError on non-convergence.
     """
     radii = np.array(steps.radii)
     jumps = steps.jumps
@@ -120,6 +120,8 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
                            settings.engine, settings.tol)
     targets = np.cumsum(jumps)[:-1]
     psis = _initial_psis(steps, settings.warm_start)
+    is_fd = settings.engine == "fd"
+    budget = settings.max_sweeps
     tol_eff = settings.tol
     polish = 0.2 * settings.tol
     solves = 0
@@ -134,19 +136,19 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
 
     best = (math.inf, psis.copy())
 
-    # Phase 1: damped sweeps with diagonal secant derivatives.
-    damp = 0.6
+    # Phase 1: damped sweeps with diagonal secant derivatives; the fd
+    # engine hands over to phase 2 once the residual is below 0.02.
     prev = None
     dens_secant = None
     cum, dens, noise = measure(psis)
-    while solves < settings.max_sweeps:
+    while True:
         resid = targets - cum
         sup = float(np.abs(resid).max())
         if sup < best[0]:
             best = (sup, psis.copy())
-        if sup <= max(polish, noise) or sup < 0.02:
+        if sup <= max(polish, noise) or (is_fd and sup < 0.02) or solves >= budget:
             break
-        if prev is not None and settings.engine == "fd":
+        if prev is not None and is_fd:
             dpsi = psis - prev[0]
             dm = np.diff(cum, prepend=0.0) - np.diff(prev[1], prepend=0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,55 +160,38 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
             dens = dens_secant
         prev = (psis.copy(), cum.copy())
         step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
-        psis = np.clip(psis + damp * step, _PSI_MIN, _PSI_MAX)
+        psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
         cum, dens, noise = measure(psis)
 
     # Phase 2 (fd engine): finite-difference Jacobian of the cumulative
     # measures, then Newton steps with Broyden rank-one refreshes to
     # resolve the inter-arc coupling that the diagonal phase cannot.
-    if settings.engine == "fd":
-        resid = targets - cum
-        sup = float(np.abs(resid).max())
-        if sup > polish and solves + n < settings.max_sweeps + n + 20:
-            fd_delta = 1e-3
-            J = np.zeros((n, n))
-            for k in range(n):
-                p2 = psis.copy()
-                p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
-                c2, _, _ = measure(p2)
-                J[:, k] = (c2 - cum) / (p2[k] - psis[k])
-            for _ in range(20):
-                if sup <= polish:
-                    break
-                try:
-                    step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
-                except np.linalg.LinAlgError:
-                    step = np.clip(resid / np.maximum(np.diag(J), 0.02),
-                                   -0.3, 0.3)
-                new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
-                c2, _, _ = measure(new_psis)
-                sv = new_psis - psis
-                y = c2 - cum
-                nrm = float(sv @ sv)
-                if nrm > 1e-16:
-                    J = J + np.outer(y - J @ sv, sv) / nrm
-                psis, cum = new_psis, c2
-                resid = targets - cum
-                sup = float(np.abs(resid).max())
-                if sup < best[0]:
-                    best = (sup, psis.copy())
-    else:
-        # stochastic engine: a few extra damped sweeps at the noise floor
-        while solves < settings.max_sweeps:
+    if is_fd and sup > polish and solves + n <= budget:
+        fd_delta = 1e-3
+        J = np.zeros((n, n))
+        for k in range(n):
+            p2 = psis.copy()
+            p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
+            c2, _, _ = measure(p2)
+            J[:, k] = (c2 - cum) / (p2[k] - psis[k])
+        while sup > polish and solves < budget:
+            try:
+                step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
+            except np.linalg.LinAlgError:
+                step = np.clip(resid / np.maximum(np.diag(J), 0.02),
+                               -0.3, 0.3)
+            new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
+            c2, _, _ = measure(new_psis)
+            sv = new_psis - psis
+            y = c2 - cum
+            nrm = float(sv @ sv)
+            if nrm > 1e-16:
+                J = J + np.outer(y - J @ sv, sv) / nrm
+            psis, cum = new_psis, c2
             resid = targets - cum
             sup = float(np.abs(resid).max())
             if sup < best[0]:
                 best = (sup, psis.copy())
-            if sup <= max(polish, noise):
-                break
-            step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
-            psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-            cum, dens, noise = measure(psis)
 
     sup, psis = best
     if sup <= tol_eff:
@@ -296,9 +281,7 @@ def ulc_diagnostics(dom: BlockedCircleDomain, alpha: float,
     the arc-depth rule; verify on every arc pair (j, k) that radius gap
     below delta1 forces gate depth theta_{j,k} below epsilon, and on every
     arc that angular depth below delta2 forces radial depth below epsilon."""
-    base = dom.base
-    radii = base.radii
-    psis = base.psis
+    radii, psis = dom.radii, dom.psis
     mu, M = dom.mu, dom.outer_radius
     n = len(radii) - 1
     out = []

@@ -15,14 +15,13 @@ node, and the measure of any feature is the sum of its nodes' weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from . import geometry
-from .geometry import BlockedCircleDomain, CircleDomain
+from .geometry import ARC, GATE, KINDS, OUTER
 
 __all__ = ["FdSolver"]
 
@@ -33,15 +32,10 @@ _MATCH = 2e-9   # membership tolerance against merged rays / rings
 def _angular_rays(d, n_theta: int) -> np.ndarray:
     """Symmetric full-circle angle list: required feature rays on [0, pi]
     plus uniform filler to spacing <= 2*pi/n_theta, mirrored to (-pi, pi]."""
-    base = d.base if isinstance(d, BlockedCircleDomain) else d
     req = {0.0, math.pi}
-    for p in base.psis[:-1]:
-        if 0.0 < p < math.pi:
-            req.add(float(p))
-    if isinstance(d, BlockedCircleDomain):
-        for f in d.phis:
-            if 0.0 < f < math.pi:
-                req.add(float(f))
+    for a in (*d.psis[:-1], *d.phis):
+        if 0.0 < a < math.pi:
+            req.add(float(a))
     pos = sorted(req)
     merged = [pos[0]]
     for a in pos[1:]:
@@ -62,7 +56,7 @@ def _angular_rays(d, n_theta: int) -> np.ndarray:
 def _ring_radii(d, n_theta: int) -> np.ndarray:
     """Log-spaced rings through every arc radius, with an inner ring band
     from half the first radius (the origin closes the disk below it)."""
-    radii = (d.base if isinstance(d, BlockedCircleDomain) else d).radii
+    radii = d.radii
     h = 2.0 * math.pi / n_theta
     knots = [0.5 * radii[0]] + [float(r) for r in radii]
     out = []
@@ -82,16 +76,13 @@ class FdSolver:
     endpoint-density query is a cheap array reduction.
     """
 
-    def __init__(self, dom: CircleDomain | BlockedCircleDomain, n_theta: int = 512):
-        bad = [v for v in geometry.validate(dom) if not v.startswith("warning:")]
-        if bad:
-            raise ValueError("; ".join(bad))
+    def __init__(self, dom: geometry.Domain, n_theta: int = 512):
+        geometry.check_usable(dom)
         self.domain = dom
         self.n_theta = int(n_theta)
-        base = dom.base if isinstance(dom, BlockedCircleDomain) else dom
-        self._radii = base.radii
-        self._psis = base.psis
-        self._phis = dom.phis if isinstance(dom, BlockedCircleDomain) else np.empty(0)
+        self._radii = dom.radii
+        self._psis = dom.psis
+        self._phis = dom.phis
         self.thetas = _angular_rays(dom, self.n_theta)
         self.rho = _ring_radii(dom, self.n_theta)
         self._label()
@@ -118,7 +109,7 @@ class FdSolver:
             i1 = self._ring_index(self._radii[k + 1])
             block = np.ix_(np.arange(i0, i1 + 1), np.nonzero(on_ray)[0])
             fresh = kind[block] == -1
-            kind[block] = np.where(fresh, np.int8(1), kind[block])
+            kind[block] = np.where(fresh, np.int8(GATE), kind[block])
             idx[block] = np.where(fresh, k, idx[block])
         self._arc_ring = {}
         for k in range(len(self._radii) - 1):
@@ -128,9 +119,9 @@ class FdSolver:
             i = self._ring_index(self._radii[k])
             self._arc_ring[k] = i
             on = absth <= psi + _MATCH
-            kind[i, on] = 0
+            kind[i, on] = ARC
             idx[i, on] = k
-        kind[-1, :] = 2
+        kind[-1, :] = OUTER
         idx[-1, :] = len(self._radii) - 1
         self._kind = kind
         self._idx = idx
@@ -236,32 +227,28 @@ class FdSolver:
 
     # -- measure queries --------------------------------------------------
 
-    _KIND_CODE = {"arc": 0, "gate": 1, "outer-circle": 2}
+    def _measures(self, code: int) -> np.ndarray:
+        """Measure of every feature of one kind code, by feature index
+        (0..n, long enough for arcs, gates and the outer circle)."""
+        out = np.zeros(len(self._radii))
+        sel = self.dir_kind == code
+        np.add.at(out, self.dir_index[sel], self.weights[sel])
+        return out
 
     def measure(self, kind: str, index: int) -> float:
         """Harmonic measure at 0 of one boundary feature."""
-        code = self._KIND_CODE[kind]
-        sel = (self.dir_kind == code) & (self.dir_index == index)
-        return float(self.weights[sel].sum())
+        return float(self._measures(KINDS.index(kind))[index])
 
     def arc_measures(self) -> np.ndarray:
         """Per-arc measures for the proper arcs 0..n-1 (capacity-zero arcs
         report 0)."""
-        n = len(self._radii) - 1
-        out = np.zeros(n)
-        sel = self.dir_kind == 0
-        np.add.at(out, self.dir_index[sel], self.weights[sel])
-        return out
+        return self._measures(ARC)[:-1]
 
     def gate_measures(self) -> np.ndarray:
-        n = max(len(self._phis), 0)
-        out = np.zeros(n)
-        sel = self.dir_kind == 1
-        np.add.at(out, self.dir_index[sel], self.weights[sel])
-        return out
+        return self._measures(GATE)[:len(self._phis)]
 
     def outer_measure(self) -> float:
-        return float(self.weights[self.dir_kind == 2].sum())
+        return float(self._measures(OUTER)[-1])
 
     def h_table(self, radii) -> np.ndarray:
         """h(r) = measure of the boundary within the closed ball of each
@@ -282,7 +269,7 @@ class FdSolver:
         if k not in self._arc_ring:
             raise ValueError(f"arc {k} carries no boundary nodes")
         i = self._arc_ring[k]
-        on = np.nonzero(self._kind[i] == 0)[0]
+        on = np.nonzero(self._kind[i] == ARC)[0]
         on = on[self._idx[i, on] == k]
         back = min(8, (len(on) - 1) // 2)
         total = 0.0

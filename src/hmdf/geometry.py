@@ -24,6 +24,11 @@ __all__ = [
     "BoundaryFeature",
     "Domain",
     "NotInteriorError",
+    "KINDS",
+    "ARC",
+    "GATE",
+    "OUTER",
+    "check_usable",
     "distance_to_boundary",
     "nearest_boundary",
     "is_interior",
@@ -32,9 +37,9 @@ __all__ = [
     "theta",
 ]
 
-KIND_ARC = "arc"
-KIND_GATE = "gate"
-KIND_OUTER = "outer-circle"
+# Boundary-feature kinds: a feature's kind code is its index here.
+KINDS = ("arc", "gate", "outer-circle")
+ARC, GATE, OUTER = range(len(KINDS))
 
 
 class NotInteriorError(ValueError):
@@ -56,9 +61,21 @@ class Arc:
 
 @dataclass(frozen=True)
 class CircleDomain:
-    """Disk minus concentric arcs; the last arc is the full outer circle."""
+    """Disk minus concentric arcs; the last arc is the full outer circle.
+
+    It reads like a blocked circle domain without gates: ``base`` is the
+    domain itself and ``phis`` is empty.
+    """
 
     arcs: tuple[Arc, ...]
+
+    @property
+    def base(self) -> "CircleDomain":
+        return self
+
+    @property
+    def phis(self) -> np.ndarray:
+        return np.empty(0)
 
     @property
     def radii(self) -> np.ndarray:
@@ -137,13 +154,9 @@ class BoundaryFeature:
     """A boundary component hit by a walk: which feature, and the modulus
     of the feature point nearest the query."""
 
-    kind: str  # "arc" | "gate" | "outer-circle"
+    kind: str  # one of KINDS
     index: int
     modulus: float
-
-
-def _base(d: Domain) -> CircleDomain:
-    return d.base if isinstance(d, BlockedCircleDomain) else d
 
 
 def validate(d: Domain) -> list[str]:
@@ -153,11 +166,11 @@ def validate(d: Domain) -> list[str]:
     point arcs); anything else makes the domain unusable.
     """
     out: list[str] = []
-    base = _base(d)
-    radii = base.radii
-    psis = base.psis
-    if len(base.arcs) == 0:
+    radii, psis, phi = d.radii, d.psis, d.phis
+    if len(radii) == 0:
         return ["domain has no arcs"]
+    if not all(np.isfinite(a).all() for a in (radii, psis, phi)):
+        out.append("radii, half-arclengths and gate angles must be finite")
     if np.any(radii <= 0):
         out.append("radii must be positive")
     if np.any(np.diff(radii) <= 0):
@@ -172,8 +185,7 @@ def validate(d: Domain) -> list[str]:
         if p == 0.0:
             out.append(f"warning: capacity-zero feature: arc {k} has zero arclength")
     if isinstance(d, BlockedCircleDomain):
-        phi = d.phis
-        if len(phi) != len(base.arcs) - 1:
+        if len(phi) != len(radii) - 1:
             out.append("gate count must equal arc count minus one")
         else:
             cap = np.minimum(psis[:-1], psis[1:])
@@ -186,8 +198,11 @@ def validate(d: Domain) -> list[str]:
     return out
 
 
-def is_usable(d: Domain) -> bool:
-    return all(v.startswith("warning:") for v in validate(d))
+def check_usable(d: Domain) -> None:
+    """Raise ValueError naming every non-advisory ``validate`` violation."""
+    bad = [v for v in validate(d) if not v.startswith("warning:")]
+    if bad:
+        raise ValueError("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -195,48 +210,32 @@ def is_usable(d: Domain) -> bool:
 # walk-on-spheres engine calls this in bulk.
 
 
-def _feature_arrays(d: Domain):
-    """Feature table: arcs (without the outer circle), gate pairs, outer.
-
-    Returns (radii, psis, gate_phi, gate_lo, gate_hi, outer_radius).
-    """
-    base = _base(d)
-    radii = base.radii
-    psis = base.psis
-    if isinstance(d, BlockedCircleDomain):
-        phi = d.phis
-        glo = radii[:-1]
-        ghi = radii[1:]
-    else:
-        phi = np.empty(0)
-        glo = np.empty(0)
-        ghi = np.empty(0)
-    return radii[:-1], psis[:-1], phi, glo, ghi, radii[-1]
-
-
 def nearest_boundary(z: np.ndarray, d: Domain):
     """Distance from points ``z`` to the nearest boundary feature.
 
-    Returns arrays ``(dist, kind_code, index, modulus)`` where kind_code is
-    0 for arcs, 1 for gates, 2 for the outer circle.  Ties resolve to the
-    lowest feature index with arcs before gates before the outer circle.
+    Returns arrays ``(dist, kind_code, index, modulus)`` where kind_code
+    indexes ``KINDS``.  Ties resolve to the lowest feature index with arcs
+    before gates before the outer circle.  Arc k and gate k both start at
+    ``radii[k]``; the outer circle has index n.
     """
     z = np.asarray(z, dtype=complex)
-    arc_r, arc_psi, gate_phi, gate_lo, gate_hi, M = _feature_arrays(d)
+    radii, psis, gate_phi = d.radii, d.psis, d.phis
+    n = len(radii) - 1
+    M = radii[n]
 
     rho = np.abs(z)
     ang = np.abs(np.angle(z))
 
     best_d = M - rho
     np.abs(best_d, out=best_d)
-    best_kind = np.full(z.shape, 2, dtype=np.int8)
-    best_idx = np.full(z.shape, len(arc_r), dtype=np.int64)
+    best_kind = np.full(z.shape, OUTER, dtype=np.int8)
+    best_idx = np.full(z.shape, n, dtype=np.int64)
     best_mod = np.full(z.shape, M, dtype=float)
 
     # Gates first, then arcs, so that the final arc pass wins ties and the
     # arcs < gates < outer preference order holds under argmin semantics.
     for k in range(len(gate_phi) - 1, -1, -1):
-        a, b, phi = gate_lo[k], gate_hi[k], gate_phi[k]
+        a, b, phi = radii[k], radii[k + 1], gate_phi[k]
         w = z * np.exp(-1j * phi)
         t = np.clip(w.real, a, b)
         dist = np.hypot(w.real - t, w.imag)
@@ -249,19 +248,19 @@ def nearest_boundary(z: np.ndarray, d: Domain):
             dist = np.minimum(dist, dist2)
         take = dist <= best_d
         best_d = np.where(take, dist, best_d)
-        best_kind = np.where(take, np.int8(1), best_kind)
+        best_kind = np.where(take, np.int8(GATE), best_kind)
         best_idx = np.where(take, k, best_idx)
         best_mod = np.where(take, t, best_mod)
 
-    for k in range(len(arc_r) - 1, -1, -1):
-        r, psi = arc_r[k], arc_psi[k]
+    for k in range(n - 1, -1, -1):
+        r, psi = radii[k], psis[k]
         onarc = ang <= psi
         end = r * np.exp(1j * psi)
         dist = np.where(onarc, np.abs(rho - r),
                         np.minimum(np.abs(z - end), np.abs(z - np.conj(end))))
         take = dist <= best_d
         best_d = np.where(take, dist, best_d)
-        best_kind = np.where(take, np.int8(0), best_kind)
+        best_kind = np.where(take, np.int8(ARC), best_kind)
         best_idx = np.where(take, k, best_idx)
         best_mod = np.where(take, r, best_mod)
 
@@ -275,15 +274,15 @@ def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:
     (between arcs, inside the gate angle) are excluded explicitly.
     """
     z = np.asarray(z, dtype=complex)
-    arc_r, arc_psi, gate_phi, gate_lo, gate_hi, M = _feature_arrays(d)
+    radii, psis, gate_phi = d.radii, d.psis, d.phis
     rho = np.abs(z)
     ang = np.abs(np.angle(z))
-    ok = rho < M
-    for k in range(len(arc_r)):
-        on = (ang <= arc_psi[k]) & (rho == arc_r[k])
+    ok = rho < radii[-1]
+    for k in range(len(radii) - 1):
+        on = (ang <= psis[k]) & (rho == radii[k])
         ok &= ~on
     for k in range(len(gate_phi)):
-        pocket = (rho > gate_lo[k]) & (rho < gate_hi[k]) & (ang < gate_phi[k])
+        pocket = (rho > radii[k]) & (rho < radii[k + 1]) & (ang < gate_phi[k])
         ok &= ~pocket
     d0, _, _, _ = nearest_boundary(z, d)
     ok &= d0 > 0.0
@@ -296,8 +295,7 @@ def distance_to_boundary(z: complex, d: Domain) -> tuple[float, BoundaryFeature]
     if not bool(is_interior(zz, d)[0]):
         raise NotInteriorError(f"point {z} is not interior to the domain")
     dist, kind, idx, mod = nearest_boundary(zz, d)
-    kind_name = (KIND_ARC, KIND_GATE, KIND_OUTER)[int(kind[0])]
-    return float(dist[0]), BoundaryFeature(kind_name, int(idx[0]), float(mod[0]))
+    return float(dist[0]), BoundaryFeature(KINDS[kind[0]], int(idx[0]), float(mod[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def distance_to_boundary(z: complex, d: Domain) -> tuple[float, BoundaryFeature]
 def eta(d: Domain, j: int, k: int) -> float:
     """Depth of the shortest arc between arcs j and k:
     min(psi_j, psi_k) - min over psi_l for j <= l <= k."""
-    psi = _base(d).psis
+    psi = d.psis
     if not (0 <= j < k <= len(psi) - 1):
         raise IndexError(f"need 0 <= j < k <= n, got j={j}, k={k}")
     return float(min(psi[j], psi[k]) - psi[j:k + 1].min())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class CandidateH:
 
     def __post_init__(self):
         b, v, k = self.breakpoints, self.values, self.kinds
+        if not all(math.isfinite(x) for x in (*b, *v)):
+            raise ValueError("breakpoints and values must be finite")
         if len(b) < 2:
             raise ValueError("need at least two breakpoints (mu and M)")
         if len(v) != len(b) or len(k) != len(b) - 1:
@@ -84,6 +86,8 @@ class StepH:
     def __post_init__(self):
         if len(self.radii) != len(self.values) or not self.radii:
             raise ValueError("radii/values lengths inconsistent")
+        if not all(math.isfinite(x) for x in (*self.radii, *self.values)):
+            raise ValueError("radii and values must be finite")
         if any(r2 <= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ValueError("jump radii must be strictly increasing")
         vals = (0.0,) + self.values
@@ -210,8 +214,8 @@ class NecessaryReport:
 def beurling_bound(mu: float, r: float) -> float:
     """Lower bound 1 - (4/pi) arctan sqrt(mu/r) that the h-function of any
     simply connected domain with inner radius mu must dominate."""
-    if r < mu:
-        raise ValueError("need r >= mu")
+    if not 0 < mu <= r:
+        raise ValueError("need 0 < mu <= r")
     return 1.0 - (4.0 / math.pi) * math.atan(math.sqrt(mu / r))
 
 

@@ -1,5 +1,5 @@
-"""Harmonic-measure engines: walk-on-spheres, polar-grid finite differences,
-and exact conformal-map oracles.
+"""Harmonic-measure engines: walk-on-spheres and exact conformal-map
+oracles (the polar-grid finite-difference solver is ``hmdf.fd``).
 
 The three engines cross-validate each other: WoS is unbiased up to the
 epsilon-shell classification bias, the FD solver is deterministic with a
@@ -15,8 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import geometry
-from .geometry import (BlockedCircleDomain, BoundaryFeature, CircleDomain,
-                       NotInteriorError)
+from .geometry import BlockedCircleDomain, CircleDomain, NotInteriorError
 from .hfunction import beurling_bound
 
 __all__ = [
@@ -25,18 +24,15 @@ __all__ = [
     "ExitEnsemble",
     "OffCenterDisk",
     "WosConfig",
-    "wos_exit_sample",
     "wos_exit_ensemble",
     "estimate_h",
     "feature_measures",
-    "fd_harmonic_measure",
     "exact_offcenter_disk_h",
     "exact_slit_disk_gate",
     "beurling_lower_bound",
 ]
 
 _BATCH = 1 << 15
-_KIND_NAMES = (geometry.KIND_ARC, geometry.KIND_GATE, geometry.KIND_OUTER)
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,8 @@ class MeasureEstimate:
 
     value: float
     std_error: float
-    method: str  # "wos" | "fd" | "exact"
+    method: str  # the engine that produced it, e.g. "wos"
     sample_count: int = 0
-    grid_resolution: int = 0
     discard_count: int = 0
 
 
@@ -122,7 +117,7 @@ def _nearest(dom: WosDomain, z: np.ndarray):
         with np.errstate(invalid="ignore", divide="ignore"):
             bp = dom.center + dom.radius * np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 1.0)
         mod = np.abs(bp)
-        kinds = np.full(z.shape, 2, dtype=np.int8)
+        kinds = np.full(z.shape, geometry.OUTER, dtype=np.int8)
         idx = np.zeros(z.shape, dtype=np.int64)
         return dist, kinds, idx, mod
     return geometry.nearest_boundary(z, dom)
@@ -150,6 +145,8 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     """
     if config.epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     _check_interior(dom, z0)
     eps_abs = config.epsilon * dom.outer_radius
     kinds = np.empty(n_samples, dtype=np.int8)
@@ -187,18 +184,6 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
                         int(discards), int(done))
 
 
-def wos_exit_sample(dom: WosDomain, z0: complex = 0.0,
-                    config: WosConfig = WosConfig()) -> tuple[BoundaryFeature, float] | None:
-    """One walk: the exit feature and the modulus of its nearest boundary
-    point, or None if the walk hit the step cap."""
-    ens = wos_exit_ensemble(dom, z0, 1, config)
-    if ens.sample_count == 0:
-        return None
-    feat = BoundaryFeature(_KIND_NAMES[int(ens.kinds[0])], int(ens.indices[0]),
-                           float(ens.moduli[0]))
-    return feat, float(ens.moduli[0])
-
-
 def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate]:
     """Empirical harmonic measure of every boundary feature hit by the
     ensemble, with binomial standard errors."""
@@ -211,7 +196,7 @@ def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate
     for (kc, idx), c in zip(uniq, counts):
         p = c / m
         se = math.sqrt(p * (1.0 - p) / m)
-        out[(_KIND_NAMES[int(kc)], int(idx))] = MeasureEstimate(
+        out[(geometry.KINDS[kc], int(idx))] = MeasureEstimate(
             p, se, "wos", sample_count=m, discard_count=ens.discard_count)
     return out
 
@@ -220,40 +205,25 @@ def estimate_h(dom: WosDomain, radii: Sequence[float], z0: complex = 0.0,
                n_samples: int = 100_000,
                config: WosConfig = WosConfig()) -> HFunctionTable:
     """Estimate the h-function at the given sorted radii from one exit
-    ensemble: h(r) is the CDF of the exit-point modulus (closed ball)."""
+    ensemble: h(r) is the CDF of the exit-point modulus (closed ball).
+    Raises RuntimeError when no walk reached the boundary."""
     radii = [float(r) for r in radii]
     if any(r2 < r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted")
     ens = wos_exit_ensemble(dom, z0, n_samples, config)
     m = ens.sample_count
+    if m == 0:
+        raise RuntimeError(f"no walk reached the boundary: all {n_samples} "
+                           f"hit max_steps={config.max_steps}")
     ests = []
     mod_sorted = np.sort(ens.moduli)
     for r in radii:
         c = int(np.searchsorted(mod_sorted, r, side="right"))
-        p = c / m if m else 0.0
-        se = math.sqrt(p * (1.0 - p) / m) if m else 0.0
+        p = c / m
+        se = math.sqrt(p * (1.0 - p) / m)
         ests.append(MeasureEstimate(p, se, "wos", sample_count=m,
                                     discard_count=ens.discard_count))
     return HFunctionTable(tuple(radii), tuple(ests))
-
-
-# ---------------------------------------------------------------------------
-# Deterministic engine (delegates to the adaptive polar-grid solver).
-
-
-def fd_harmonic_measure(dom: CircleDomain | BlockedCircleDomain,
-                        targets: Sequence[tuple[str, int]],
-                        resolution: int = 512) -> list[MeasureEstimate]:
-    """Harmonic measure at 0 of each target feature by the deterministic
-    polar-grid Dirichlet solver.  Targets are (kind, index) pairs with
-    kind "arc", "gate" or "outer-circle"."""
-    from .fd import FdSolver
-    solver = FdSolver(dom, n_theta=resolution)
-    out = []
-    for kind, idx in targets:
-        out.append(MeasureEstimate(solver.measure(kind, idx), 0.0, "fd",
-                                   grid_resolution=resolution))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +266,8 @@ def exact_slit_disk_gate(r_k: float, r_k1: float, M: float) -> float:
     return (2.0 / math.pi) * math.atan(math.sqrt(arg))
 
 
-def beurling_lower_bound(mu: float, r: float) -> float:
-    """Necessary lower bound 1 - (4/pi) arctan sqrt(mu/r) for simply
-    connected domains with inner radius mu."""
-    if not 0 < mu <= r:
-        raise ValueError("need 0 < mu <= r")
-    return beurling_bound(mu, r)
+# The universal lower bound, listed with the other oracles.
+beurling_lower_bound = beurling_bound
 
 
 def slit_disk(r_k: float, r_k1: float, M: float) -> BlockedCircleDomain:

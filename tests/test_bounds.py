@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmdf import bounds
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
@@ -134,6 +134,8 @@ def test_thresholds_positive_and_bounded(alpha, beta):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1e-6, 1.0), st.floats(0.05, 1.0), st.floats(0.5, 2.0),
        st.floats(0.01, 3.0))
+# M - mu rounds below width here, so delta = width must still pass
+@example(delta_frac=1.0, alpha=0.5, mu=1.0, width=0.0992)
 def test_chi_inf_dominates_every_chi_p(delta_frac, alpha, mu, width):
     M = mu + width
     delta = delta_frac * width

@@ -89,6 +89,34 @@ class TestExitCodes:
         r = run_cli(["check", "--function", str(p)])
         assert r.returncode == 2
 
+    def test_non_object_json_exits_two(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1.0, 2.0]")
+        for args in (["compute", "--domain", str(p)],
+                     ["check", "--function", str(p)]):
+            r = run_cli(args)
+            assert r.returncode == 2
+            assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+    def test_bad_env_value_exits_two(self, files):
+        r = run_cli(["check", "--function", files["fn"]], env={"HMDF_SEED": "abc"})
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: HMDF_SEED")
+
+    def test_non_finite_input_exits_two(self, tmp_path):
+        dom = tmp_path / "nan_dom.json"
+        dom.write_text(json.dumps({"kind": "circle", "radii": [1.0, math.nan],
+                                   "half_arclengths": [0.5, math.pi]}))
+        fn = tmp_path / "nan_fn.json"
+        fn.write_text(json.dumps({"kind": "candidate",
+                                  "breakpoints": [1.0, math.inf],
+                                  "values": [0.5, 1.0], "segments": ["linear"]}))
+        for args in (["compute", "--domain", str(dom), "--engine", "fd"],
+                     ["check", "--function", str(fn)]):
+            r = run_cli(args)
+            assert r.returncode == 2
+            assert "finite" in r.stderr
+
     def test_fd_on_offcenter_exits_three(self, tmp_path):
         p = tmp_path / "oc.json"
         p.write_text(json.dumps({"kind": "offcenter-disk",

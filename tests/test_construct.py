@@ -55,7 +55,9 @@ class TestSolveCircleDomain:
 
     def test_nonconvergence_reported(self):
         steps = StepH((1.0, 2.0), (0.5, 1.0))
-        with pytest.raises(SolveError, match="residual"):
+        # max_sweeps bounds every measure evaluation, Newton phase included
+        with pytest.raises(SolveError,
+                           match="after 4 measure evaluations: residual"):
             solve_circle_domain(steps, SolveSettings(tol=1e-18, max_sweeps=4))
 
 

@@ -110,6 +110,18 @@ class TestValidate:
         msgs = geometry.validate(d)
         assert msgs and all(m.startswith("warning:") for m in msgs)
 
+    def test_non_finite_rejected(self):
+        bad = [CircleDomain.from_arrays([1.0, math.nan], [0.5, math.pi]),
+               CircleDomain.from_arrays([1.0, math.inf], [0.5, math.pi]),
+               CircleDomain.from_arrays([1.0, 2.0], [math.nan, math.pi]),
+               BlockedCircleDomain(
+                   CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi]),
+                   (math.nan,))]
+        for d in bad:
+            assert any("finite" in v for v in geometry.validate(d))
+            with pytest.raises(ValueError, match="finite"):
+                geometry.check_usable(d)
+
     def test_gate_exceeds_arc(self):
         base = CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi])
         d = BlockedCircleDomain(base, (0.9,))

@@ -24,6 +24,10 @@ class TestCandidateH:
             CandidateH((2.0, 1.0), (0.5, 1.0), (LINEAR,))  # decreasing radii
         with pytest.raises(ValueError):
             CandidateH((1.0, 2.0), (0.0, 1.0), (CONSTANT,))  # zero on (mu, M)
+        for b, v in (((1.0, math.nan), (0.5, 1.0)), ((1.0, math.inf), (0.5, 1.0)),
+                     ((math.nan, 2.0), (0.5, 1.0)), ((1.0, 2.0), (math.nan, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                CandidateH(b, v, (LINEAR,))
 
     def test_evaluate_jump_ramp(self):
         f = example_jump_ramp()
@@ -88,6 +92,10 @@ class TestStepH:
             StepH((1.0, 2.0), (0.5, 0.9))
         with pytest.raises(ValueError):
             StepH((1.0, 1.0), (0.5, 1.0))
+        for r, v in (((1.0, math.nan), (0.5, 1.0)), ((1.0, math.inf), (0.5, 1.0)),
+                     ((1.0, 2.0), (math.nan, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                StepH(r, v)
 
 
 class TestInverse:
@@ -111,6 +119,11 @@ class TestNecessaryChecks:
     def test_beurling_zero_at_mu(self):
         assert beurling_bound(1.0, 1.0) == 0.0  # exactly, not approximately
         assert beurling_bound(2.5, 2.5) == 0.0
+
+    def test_beurling_rejects_bad_mu(self):
+        for mu, r in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                beurling_bound(mu, r)
 
     def test_beurling_reference_value(self):
         assert beurling_bound(1.0, 4.0) == pytest.approx(0.40966553, abs=1e-7)

@@ -117,6 +117,14 @@ class TestWos:
         with pytest.raises(geometry.NotInteriorError):
             wos_exit_ensemble(OffCenterDisk(0.5, 1.0), 2.0, 10)
 
+    def test_no_estimate_without_walks(self):
+        # one step never reaches the epsilon shell: every walk is discarded
+        with pytest.raises(RuntimeError, match="no walk reached the boundary"):
+            estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 100,
+                       WosConfig(max_steps=1))
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 0)
+
 
 class TestFdSolver:
     def test_disk_weights_normalized(self):
