@@ -63,7 +63,7 @@ def load_domain(path: str):
         if kind == "offcenter-disk":
             c = data["center"]
             return OffCenterDisk(complex(c[0], c[1]), float(data["radius"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed domain file ({exc})") from exc
     raise InputError(f"{path}: unknown domain kind {kind!r}")
 
@@ -98,7 +98,7 @@ def load_function(path: str):
         if kind == "step":
             return StepH(tuple(map(float, data["radii"])),
                          tuple(map(float, data["values"])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed function file ({exc})") from exc
     raise InputError(f"{path}: unknown function kind {kind!r}")
 
@@ -212,14 +212,18 @@ def render_function_svg(f) -> str:
 # Subcommands.
 
 
-def _env(name: str, cast, default):
+def _env(name: str, cast, default, choices=None):
     raw = os.environ.get(f"HMDF_{name}")
     if raw is None:
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise InputError(f"HMDF_{name}={raw!r} is not a valid {cast.__name__}")
+    # argparse checks only given values against ``choices``, not defaults
+    if choices is not None and value not in choices:
+        raise InputError(f"HMDF_{name}={raw!r} is not one of {', '.join(choices)}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -230,8 +234,8 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(sp, engine=True):
         if engine:
-            sp.add_argument("--engine", choices=("wos", "fd"),
-                            default=_env("ENGINE", str, "wos"))
+            sp.add_argument("--engine", choices=construct.ENGINES,
+                            default=_env("ENGINE", str, "wos", construct.ENGINES))
         sp.add_argument("--samples", type=int, default=_env("SAMPLES", int, 100_000))
         sp.add_argument("--eps", type=float, default=_env("EPS", float, 1e-5))
         sp.add_argument("--seed", type=int, default=_env("SEED", int, 0))
@@ -268,10 +272,17 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_compute(args) -> int:
-    dom = load_domain(args.domain)
+def _load_usable_domain(path: str):
+    """``load_domain``, rejecting a circle-type domain that fails
+    ``geometry.check_usable``."""
+    dom = load_domain(path)
     if not isinstance(dom, OffCenterDisk):
         geometry.check_usable(dom)
+    return dom
+
+
+def cmd_compute(args) -> int:
+    dom = _load_usable_domain(args.domain)
     mu, M = dom.mu, dom.outer_radius
     if args.radii:
         radii = sorted(float(x) for x in args.radii.split(","))
@@ -364,7 +375,7 @@ def cmd_check(args) -> int:
 
 def cmd_render(args) -> int:
     if args.domain:
-        svg = render_domain_svg(load_domain(args.domain))
+        svg = render_domain_svg(_load_usable_domain(args.domain))
     else:
         svg = render_function_svg(load_function(args.function))
     with open(args.out, "w") as fh:

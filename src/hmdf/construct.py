@@ -39,6 +39,7 @@ __all__ = [
 
 _PSI_MIN = 1e-6
 _PSI_MAX = math.pi - 1e-4
+ENGINES = ("wos", "fd")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,13 @@ class SolveSettings:
     epsilon: float = 1e-5
     seed: int = 0
     warm_start: str = "proportional"  # "proportional" | "uniform"
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; "
+                             f"expected one of {', '.join(ENGINES)}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 class SolveError(RuntimeError):
@@ -91,12 +99,15 @@ def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int):
     ens = wos_exit_ensemble(dom, 0.0, settings.wos_samples,
                             WosConfig(epsilon=settings.epsilon,
                                       seed=settings.seed + 7919 * sweep))
+    if ens.sample_count == 0:
+        raise RuntimeError(f"no walk reached the boundary: all "
+                           f"{ens.discard_count} walks were discarded")
     m = np.zeros(n)
     arcs = ens.kinds == geometry.ARC
     np.add.at(m, ens.indices[arcs], np.ones(arcs.sum()))
-    m /= max(ens.sample_count, 1)
+    m /= ens.sample_count
     dens = np.maximum(m / (2.0 * dom.psis[:-1]), 0.05)
-    noise = 3.0 * math.sqrt(0.25 / max(ens.sample_count, 1))
+    noise = 3.0 * math.sqrt(0.25 / ens.sample_count)
     return m, dens, noise
 
 

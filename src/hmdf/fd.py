@@ -7,10 +7,18 @@ feature rays move with the feature angles, the computed harmonic measure of
 an arc varies continuously with its half-arclength -- the property the
 inversion loop relies on.
 
+Every circle-type domain is symmetric about the real axis, and so is the
+harmonic measure at the origin.  The grid therefore covers only the mirror
+half theta in [0, pi]: the theta-neighbours of the axis rays 0 and pi
+reflect back onto the half-grid, and the origin's circle mean counts each
+off-axis ray twice.  This halves the unknowns of the full circle.
+
 Harmonic measure of every boundary feature at the origin is read off a
-single adjoint solve: if A u_int + B u_dir = 0 is the interior system, the
-vector w = -B^T A^{-T} e_origin holds one nonnegative weight per Dirichlet
-node, and the measure of any feature is the sum of its nodes' weights.
+single adjoint solve: if A u_int + B u_dir = 0 is the half-grid interior
+system, the vector w = -B^T A^{-T} e_origin holds one nonnegative weight
+per Dirichlet node -- the full-circle weight of that node plus that of its
+mirror image off the axis -- and the measure of any feature is the sum of
+its nodes' weights.
 """
 from __future__ import annotations
 
@@ -27,11 +35,12 @@ __all__ = ["FdSolver"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 _MATCH = 2e-9   # membership tolerance against merged rays / rings
+_MIN_N_THETA = 8  # coarsest usable angular resolution
 
 
 def _angular_rays(d, n_theta: int) -> np.ndarray:
-    """Symmetric full-circle angle list: required feature rays on [0, pi]
-    plus uniform filler to spacing <= 2*pi/n_theta, mirrored to (-pi, pi]."""
+    """Half-circle angle list on [0, pi]: the required feature rays plus
+    uniform filler to spacing <= 2*pi/n_theta."""
     req = {0.0, math.pi}
     for a in (*d.psis[:-1], *d.phis):
         if 0.0 < a < math.pi:
@@ -49,8 +58,7 @@ def _angular_rays(d, n_theta: int) -> np.ndarray:
         for s in range(1, n_sub):
             out.append(a + (b - a) * s / n_sub)
     out.append(math.pi)
-    pos_arr = np.array(out)
-    return np.concatenate([-pos_arr[-2:0:-1], pos_arr])
+    return np.array(out)
 
 
 def _ring_radii(d, n_theta: int) -> np.ndarray:
@@ -72,14 +80,21 @@ class FdSolver:
     """Finite-difference harmonic measure of a circle-type domain at 0.
 
     One construction performs one sparse factorization and one adjoint
-    solve; afterwards every feature measure, cumulative measure, and
-    endpoint-density query is a cheap array reduction.
+    solve on the mirror half-grid theta in [0, pi]; afterwards every
+    feature measure, cumulative measure, and endpoint-density query is a
+    cheap array reduction.  ``weights`` holds one entry per half-grid
+    Dirichlet node: the sum of the full-circle weights of the node and its
+    mirror image (just its own weight on the axis rays 0 and pi), so
+    feature sums and ``weight_sum`` cover the whole boundary.
     """
 
     def __init__(self, dom: geometry.Domain, n_theta: int = 512):
+        self.n_theta = int(n_theta)
+        if self.n_theta < _MIN_N_THETA:
+            raise ValueError(f"fd resolution must be at least {_MIN_N_THETA}, "
+                             f"got {n_theta}")
         geometry.check_usable(dom)
         self.domain = dom
-        self.n_theta = int(n_theta)
         self._radii = dom.radii
         self._psis = dom.psis
         self._phis = dom.phis
@@ -100,11 +115,10 @@ class FdSolver:
         nr, N = len(self.rho), len(self.thetas)
         kind = np.full((nr, N), -1, dtype=np.int8)
         idx = np.full((nr, N), -1, dtype=np.int64)
-        absth = np.abs(self.thetas)
         # gates first; arcs overwrite them so shared corner nodes count as
         # arc nodes, matching the arcs-before-gates tie rule.
         for k in range(len(self._phis)):
-            on_ray = np.abs(absth - self._phis[k]) <= _MATCH
+            on_ray = np.abs(self.thetas - self._phis[k]) <= _MATCH
             i0 = self._ring_index(self._radii[k])
             i1 = self._ring_index(self._radii[k + 1])
             block = np.ix_(np.arange(i0, i1 + 1), np.nonzero(on_ray)[0])
@@ -118,7 +132,7 @@ class FdSolver:
                 continue  # capacity-zero point arc
             i = self._ring_index(self._radii[k])
             self._arc_ring[k] = i
-            on = absth <= psi + _MATCH
+            on = self.thetas <= psi + _MATCH
             kind[i, on] = ARC
             idx[i, on] = k
         kind[-1, :] = OUTER
@@ -148,10 +162,13 @@ class FdSolver:
         h_m[0] = rho[0]
         h_m[1:] = rho[1:nr - 1] - rho[:nr - 2]
         h_p = rho[1:] - rho[:-1]
-        g_m = thetas - np.roll(thetas, 1)
-        g_m[0] += 2.0 * math.pi
-        g_p = np.roll(thetas, -1) - thetas
-        g_p[-1] += 2.0 * math.pi
+        # the theta-neighbours of the axis rays 0 and pi reflect onto
+        # rays 1 and N-2, the mirror images of rays -1 and N
+        gap = np.diff(thetas)
+        g_m = np.concatenate([gap[:1], gap])
+        g_p = np.concatenate([gap, gap[-1:]])
+        left = np.concatenate([[1], np.arange(N - 1)])
+        right = np.concatenate([np.arange(1, N), [N - 2]])
         self._g_m, self._g_p = g_m, g_p
 
         r = rho[:nr - 1][:, None]
@@ -187,14 +204,17 @@ class FdSolver:
         a_vals.append(c_in[I[inner], J[inner]])
         _push(row[~inner], I[~inner] - 1, J[~inner], c_in[I[~inner], J[~inner]])
         _push(row, I + 1, J, c_out[I, J])
-        _push(row, I, (J - 1) % N, a_in[I, J])
-        _push(row, I, (J + 1) % N, a_out[I, J])
+        _push(row, I, left[J], a_in[I, J])
+        _push(row, I, right[J], a_out[I, J])
 
-        # origin closure: the exact circle mean over the innermost ring
+        # origin closure: the exact circle mean over the innermost ring,
+        # each off-axis ray standing for itself and its mirror image
         a_rows.append(np.full(N + 1, origin))
         a_cols.append(np.concatenate([[origin], uid[0]]))
+        mult = np.full(N, 2.0)
+        mult[[0, -1]] = 1.0
         cell = 0.5 * (g_m + g_p)
-        a_vals.append(np.concatenate([[1.0], -cell / (2.0 * math.pi)]))
+        a_vals.append(np.concatenate([[1.0], -mult * cell / (2.0 * math.pi)]))
 
         A = coo_matrix((np.concatenate(a_vals),
                         (np.concatenate(a_rows), np.concatenate(a_cols))),
@@ -223,7 +243,6 @@ class FdSolver:
         self.weight_sum = float(w.sum())
         self.n_unknowns = n_unk
         self._did = did
-        self._is_dir = is_dir
 
     # -- measure queries --------------------------------------------------
 
@@ -264,19 +283,14 @@ class FdSolver:
         """Rough derivative of arc k's measure with respect to its
         half-arclength.  The boundary density diverges at the arc tips, so
         the tip-node weights badly overestimate the derivative; sample a
-        few cells inside each end instead and halve, which lands within a
-        small factor of the true slope.  Callers refine by secant."""
+        few cells inside the upper tip instead (its weight is the pair
+        sum over both tips) and halve, which lands within a small factor
+        of the true slope.  Callers refine by secant."""
         if k not in self._arc_ring:
             raise ValueError(f"arc {k} carries no boundary nodes")
         i = self._arc_ring[k]
         on = np.nonzero(self._kind[i] == ARC)[0]
         on = on[self._idx[i, on] == k]
-        back = min(8, (len(on) - 1) // 2)
-        total = 0.0
-        for j in (on[back], on[-1 - back]):
-            w = self.weights[self._did[i, j]]
-            cell = 0.5 * (self._g_m[j] + self._g_p[j])
-            total += w / cell
-        if on[back] == on[-1 - back]:
-            total *= 0.5  # single shared node counted twice above
-        return float(0.5 * total)
+        j = on[-1 - min(8, len(on) - 1)]
+        cell = 0.5 * (self._g_m[j] + self._g_p[j])
+        return float(0.5 * self.weights[self._did[i, j]] / cell)

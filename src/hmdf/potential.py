@@ -71,6 +71,8 @@ class OffCenterDisk:
     radius: float
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("center and radius must be finite")
         if abs(self.center) >= self.radius:
             raise ValueError("origin must be interior: need |center| < radius")
 
@@ -143,8 +145,8 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     (seed, n_samples), independent of any parallel scheduling.
     ``reflect`` negates every angular draw (domain symmetry tests).
     """
-    if config.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (0.0 < config.epsilon < math.inf):
+        raise ValueError("epsilon must be positive and finite")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     _check_interior(dom, z0)

@@ -1,11 +1,16 @@
 """CLI: file round trips, exit codes, deterministic outputs."""
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hmdf import cli
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
@@ -111,11 +116,39 @@ class TestExitCodes:
         fn.write_text(json.dumps({"kind": "candidate",
                                   "breakpoints": [1.0, math.inf],
                                   "values": [0.5, 1.0], "segments": ["linear"]}))
+        disk = tmp_path / "nan_disk.json"
+        disk.write_text(json.dumps({"kind": "offcenter-disk",
+                                    "center": [math.nan, 0.0], "radius": 1.0}))
+        good_disk = tmp_path / "disk.json"
+        good_disk.write_text(json.dumps({"kind": "offcenter-disk",
+                                         "center": [0.5, 0.0], "radius": 1.0}))
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"kind": "step", "radii": [1.0, 2.0],
+                                    "values": [0.5, 1.0]}))
         for args in (["compute", "--domain", str(dom), "--engine", "fd"],
-                     ["check", "--function", str(fn)]):
+                     ["check", "--function", str(fn)],
+                     ["compute", "--domain", str(disk), "--engine", "wos"],
+                     ["compute", "--domain", str(good_disk), "--engine", "wos",
+                      "--eps", "inf"],
+                     ["invert", "--function", str(step), "--tol", "nan",
+                      "--out", str(tmp_path / "x.json")]):
             r = run_cli(args)
             assert r.returncode == 2
             assert "finite" in r.stderr
+
+    def test_bad_resolution_exits_two(self, files):
+        for res in ("0", "-4"):
+            r = run_cli(["compute", "--domain", files["dom"], "--engine", "fd",
+                         "--resolution", res])
+            assert r.returncode == 2
+            assert r.stderr.startswith("error: fd resolution must be at least")
+
+    def test_unknown_engine_env_exits_two(self, files):
+        r = run_cli(["compute", "--domain", files["dom"], "--radii", "1.5"],
+                    env={"HMDF_ENGINE": "foo"})
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: HMDF_ENGINE='foo' is not one of")
+        assert r.stdout == ""
 
     def test_fd_on_offcenter_exits_three(self, tmp_path):
         p = tmp_path / "oc.json"
@@ -191,7 +224,155 @@ class TestRender:
         assert run_cli(["render", "--domain", str(p), "--out", o]).returncode == 0
         assert b"<line" not in open(o, "rb").read()
 
+    def test_non_finite_domain_exits_two(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps({"kind": "circle", "radii": [1.0, math.nan],
+                                 "half_arclengths": [0.5, math.pi]}))
+        o = tmp_path / "nan.svg"
+        r = run_cli(["render", "--domain", str(p), "--out", str(o)])
+        assert r.returncode == 2
+        assert "finite" in r.stderr
+        assert not o.exists()
+
     def test_function_svg(self, files):
         o = str(files["tmp"] / "f.svg")
         assert run_cli(["render", "--function", files["fn"], "--out", o]).returncode == 0
         assert b"polyline" in open(o, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input ends in a documented exit code, never a traceback.
+# Inputs are mostly well formed, with at most one flaw each, so that
+# the runs reach the engines and not only the file readers.
+
+_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -1.0, 0.0, "a", None])
+
+
+@st.composite
+def _corrupted(draw, data):
+    """``data`` with at most one flaw: a number replaced by a bad value, a
+    list entry dropped, or a key dropped."""
+    numbers = [(k, i) for k, v in data.items() if isinstance(v, list)
+               for i in range(len(v))]
+    numbers += [(k, None) for k, v in data.items() if isinstance(v, float)]
+    flaw = draw(st.sampled_from(["none", "number", "entry", "key"]))
+    if flaw == "number" and numbers:
+        key, i = draw(st.sampled_from(numbers))
+        bad = draw(_BAD_NUMBERS)
+        if i is None:
+            data[key] = bad
+        else:
+            data[key][i] = bad
+    elif flaw == "entry" and numbers:
+        key, i = draw(st.sampled_from(numbers))
+        if i is None:
+            del data[key]
+        else:
+            del data[key][i]
+    elif flaw == "key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+def _increasing(n, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def _domain_data(draw):
+    kind = draw(st.sampled_from(["circle", "blocked", "offcenter-disk"]))
+    if kind == "offcenter-disk":
+        data = {"kind": kind, "radius": draw(st.floats(0.5, 2.0)),
+                "center": [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]}
+    else:
+        n = draw(st.integers(0, 3))
+        psis = draw(st.lists(st.floats(0.0, math.pi), min_size=n, max_size=n))
+        psis.append(math.pi)
+        data = {"kind": kind, "radii": draw(_increasing(n + 1, 0.5, 3.0)),
+                "half_arclengths": psis}
+        if kind == "blocked":
+            data["gate_angles"] = [draw(st.floats(0.0, min(psis[k], psis[k + 1])))
+                                   for k in range(n)]
+    return draw(_corrupted(data))
+
+
+@st.composite
+def _function_data(draw):
+    kind = draw(st.sampled_from(["candidate", "step"]))
+    n = draw(st.integers(1, 3))
+    values = draw(_increasing(n, 0.05, 0.95)) + [1.0]
+    radii = draw(_increasing(n + 1, 0.5, 3.0))
+    if kind == "step":
+        data = {"kind": kind, "radii": radii, "values": values}
+    else:
+        segs = st.sampled_from(["linear", "constant", "bogus"])
+        data = {"kind": kind, "breakpoints": radii, "values": values,
+                "segments": [draw(segs) for _ in range(n)]}
+    return draw(_corrupted(data))
+
+
+_NON_OBJECTS = st.sampled_from([[1.0, 2.0], 3, "text", None, {"kind": "bogus"}])
+_GOOD_ENV = st.fixed_dictionaries({
+    "HMDF_SAMPLES": st.just("200"),  # SAMPLES and RESOLUTION are always set,
+    "HMDF_RESOLUTION": st.sampled_from(["8", "24"]),  # to keep runs small
+    "HMDF_ENGINE": st.sampled_from([None, "wos", "fd"]),
+    "HMDF_SEED": st.sampled_from([None, "7"]),
+    "HMDF_EPS": st.sampled_from([None, "1e-3"]),
+    "HMDF_TOL": st.sampled_from([None, "1e-2"]),
+})
+_BAD_ENV = st.sampled_from([
+    ("HMDF_SAMPLES", "0"), ("HMDF_SAMPLES", "x"), ("HMDF_RESOLUTION", "0"),
+    ("HMDF_RESOLUTION", "-4"), ("HMDF_RESOLUTION", "x"), ("HMDF_ENGINE", "foo"),
+    ("HMDF_ENGINE", ""), ("HMDF_SEED", "-1"), ("HMDF_SEED", "x"),
+    ("HMDF_EPS", "0"), ("HMDF_EPS", "nan"), ("HMDF_EPS", "inf"),
+    ("HMDF_TOL", "0"), ("HMDF_TOL", "nan"), ("HMDF_TOL", "x")])
+_ENV = st.tuples(_GOOD_ENV, st.one_of(st.none(), _BAD_ENV)).map(
+    lambda t: t[0] if t[1] is None else {**t[0], t[1][0]: t[1][1]})
+_COMMANDS = (
+    ("compute", "--domain", "{dom}", "--grid", "5"),
+    ("render", "--domain", "{dom}", "--out", "{out}"),
+    ("invert", "--function", "{fn}", "--out", "{out}"),
+    ("construct", "--function", "{fn}", "--n", "2"),
+    ("check", "--function", "{fn}"),
+    ("render", "--function", "{fn}", "--out", "{out}"),
+)
+
+
+_CIRCLE = {"kind": "circle", "radii": [1.0, 2.0],
+           "half_arclengths": [0.5, math.pi]}
+_STEP = {"kind": "step", "radii": [1.0, 2.0], "values": [0.5, 1.0]}
+_GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# an fd resolution of 0 divided by zero; a one-entry center list raised
+# IndexError: both were tracebacks with exit code 1
+@example(_COMMANDS[0], _CIRCLE, _STEP,
+         {**_GOOD, "HMDF_ENGINE": "fd", "HMDF_RESOLUTION": "0"})
+@example(_COMMANDS[0], {"kind": "offcenter-disk", "center": [0.5], "radius": 1.0},
+         _STEP, _GOOD)
+@given(st.sampled_from(_COMMANDS), st.one_of(_domain_data(), _NON_OBJECTS),
+       st.one_of(_function_data(), _NON_OBJECTS), _ENV)
+def test_fuzzed_inputs_exit_with_documented_codes(command, dom, fn, env):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dom": os.path.join(tmp, "dom.json"),
+                 "fn": os.path.join(tmp, "fn.json"),
+                 "out": os.path.join(tmp, "out")}
+        for key, data in (("dom", dom), ("fn", fn)):
+            with open(paths[key], "w") as fh:
+                json.dump(data, fh)
+        argv = [a.format(**paths) for a in command]
+        with mock.patch.dict(os.environ), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for name, value in env.items():
+                os.environ.pop(name, None)
+                if value is not None:
+                    os.environ[name] = value
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 2, 3, 4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hmdf import bounds, construct, geometry, hfunction
+from hmdf import bounds, construct, geometry, hfunction, potential
 from hmdf.construct import (SolveError, SolveSettings, build_blocked,
                             check_candidate, solve_circle_domain,
                             ulc_diagnostics)
@@ -59,6 +59,27 @@ class TestSolveCircleDomain:
         with pytest.raises(SolveError,
                            match="after 4 measure evaluations: residual"):
             solve_circle_domain(steps, SolveSettings(tol=1e-18, max_sweeps=4))
+
+    def test_bad_settings_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine 'foo'"):
+            SolveSettings(engine="foo")
+        for tol in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                SolveSettings(tol=tol)
+
+    def test_all_walks_discarded_raises(self, monkeypatch):
+        # a WoS measurement in which no walk reached the boundary must not
+        # pass for measures of zero
+        def no_exits(dom, z0, n_samples, config):
+            empty = np.empty(0)
+            return potential.ExitEnsemble(empty.astype(np.int8),
+                                          empty.astype(np.int64), empty,
+                                          n_samples, 0)
+
+        monkeypatch.setattr(construct, "wos_exit_ensemble", no_exits)
+        settings = SolveSettings(engine="wos", wos_samples=100)
+        with pytest.raises(RuntimeError, match="all 100 walks were discarded"):
+            solve_circle_domain(StepH((1.0, 2.0), (0.5, 1.0)), settings)
 
 
 class TestBuildBlocked:

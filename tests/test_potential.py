@@ -178,3 +178,65 @@ class TestFdSolver:
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
             FdSolver(CircleDomain.from_arrays([2.0, 1.0], [0.5, math.pi]))
+
+    # Values of the full-circle grid solver this half-grid solver replaced,
+    # at n_theta = 256: (domain, unknowns, arc_measures, gate_measures,
+    # outer_measure, h_table at _MIRROR_RADII, endpoint_density per proper
+    # arc or None).
+    _MIRROR_RADII = (0.9, 1.2, 1.5, 1.8, 2.0)
+    _MIRROR_CASES = {
+        # arc 2 (half-arclength 0.01) is narrower than one grid cell, so
+        # its endpoint density is read on the axis ray itself
+        "circle": (
+            CircleDomain.from_arrays([1.0, 1.3, 1.7, 2.0],
+                                     [0.9, 1.4, 0.01, math.pi]),
+            14882,
+            [0.44532605054266516, 0.1976539853722098, 8.511504850107174e-07],
+            [],
+            0.3570191129335813,
+            [0.0, 0.44532605054266516, 0.6429800359148746,
+             0.6429808870653596, 0.9999999999989406],
+            [0.23471294134098317, 0.16202454008517053, 5.550423640164991e-06]),
+        # gate 1 lies on the axis ray phi = 0
+        "blocked": (
+            BlockedCircleDomain(
+                CircleDomain.from_arrays([1.0, 1.4, 2.0], [1.1, 0.7, math.pi]),
+                (0.3, 0.0)),
+            15001,
+            [0.5732281359513192, 0.00812683545142786],
+            [0.00020045217192698962, 1.5165176511576077e-05],
+            0.4184294112487023,
+            [0.0, 0.5733385863179652, 0.5815564055281875,
+             0.5815674936837568, 0.9999999999998875],
+            [0.27199285443674703, 0.003411401643629526]),
+        "slit": (
+            slit_disk(1.0, 1.5, 2.0),
+            14820,
+            [0.0, 0.0],
+            [0.20139527127347154, 0.017560139958196393],
+            0.7810445887684917,
+            [0.0, 0.14908827440581848, 0.20139527127347154,
+             0.21638637634871769, 1.00000000000016],
+            [None, None]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_MIRROR_CASES))
+    def test_mirror_half_grid_matches_full_circle(self, name):
+        dom, full_unknowns, arcs, gates, outer, h, dens = self._MIRROR_CASES[name]
+        s = FdSolver(dom, n_theta=256)
+        tol = 1e-10
+        assert np.abs(s.arc_measures() - arcs).max() <= tol
+        assert len(s.gate_measures()) == len(gates)
+        if gates:
+            assert np.abs(s.gate_measures() - gates).max() <= tol
+        assert abs(s.outer_measure() - outer) <= tol
+        assert np.abs(s.h_table(self._MIRROR_RADII) - h).max() <= tol
+        for k, expect in enumerate(dens):
+            if expect is None:
+                with pytest.raises(ValueError, match="no boundary nodes"):
+                    s.endpoint_density(k)
+            else:
+                assert abs(s.endpoint_density(k) - expect) <= tol
+        # one node per mirror pair: about half the full-circle unknowns
+        assert s.thetas[0] == 0.0 and s.thetas[-1] == math.pi
+        assert s.n_unknowns < 0.51 * full_unknowns
