@@ -273,6 +273,8 @@ class FdSolver:
         """h(r) = measure of the boundary within the closed ball of each
         radius, from the node moduli."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        if not np.isfinite(radii).all():
+            raise ValueError("evaluation radii must be finite")
         order = np.argsort(self.dir_radius)
         rs = self.dir_radius[order]
         cw = np.cumsum(self.weights[order])

@@ -210,6 +210,33 @@ def check_usable(d: Domain) -> None:
 # walk-on-spheres engine calls this in bulk.
 
 
+# Slack of the pruning test per unit of |z| + M (M the outer radius): the
+# computed bounds and distances each err by a few ulps of |z| + M.
+_SLACK = 64 * np.finfo(float).eps
+
+
+def _gate_distance(z, a, b, rot):
+    """Distance from ``z`` to the gate pair at angles +-phi spanning radii
+    [a, b], where ``rot = exp(-1j * phi)``, and the modulus of its nearest
+    point.  The +phi gate wins a tie; at phi = 0 the two coincide."""
+    w = z * rot
+    t = np.clip(w.real, a, b)
+    dist = np.hypot(w.real - t, w.imag)
+    # mirror gate at -phi == gate at +phi seen from conj(z)
+    w2 = np.conj(z) * rot
+    t2 = np.clip(w2.real, a, b)
+    dist2 = np.hypot(w2.real - t2, w2.imag)
+    return np.minimum(dist, dist2), np.where(dist2 < dist, t2, t)
+
+
+def _arc_distance(z, rho, ang, r, psi, end):
+    """Distance from ``z`` (modulus ``rho``, angle ``ang`` from the
+    positive axis) to the arc of radius ``r`` and half-arclength ``psi``
+    with endpoint ``end``."""
+    return np.where(ang <= psi, np.abs(rho - r),
+                    np.minimum(np.abs(z - end), np.abs(z - np.conj(end))))
+
+
 def nearest_boundary(z: np.ndarray, d: Domain):
     """Distance from points ``z`` to the nearest boundary feature.
 
@@ -217,54 +244,89 @@ def nearest_boundary(z: np.ndarray, d: Domain):
     indexes ``KINDS``.  Ties resolve to the lowest feature index with arcs
     before gates before the outer circle.  Arc k and gate k both start at
     ``radii[k]``; the outer circle has index n.
+
+    The query is exact but evaluates a feature only at the points where it
+    can be nearest.  With ``rho = |z|`` and ``M`` the outer radius:
+
+    - The outer circle and the arc nearest to ``rho`` in radius are
+      evaluated at every point; the nearer of the two bounds the nearest
+      distance from above.
+    - Lower bounds: the radial gap from ``rho`` to ``r_k`` for arc k and to
+      ``[r_k, r_{k+1}]`` for gate k, and for gate k also the angular bound
+      ``(2/pi) sqrt(rho r_k) | |arg z| - phi_k |``, which follows from
+      ``|z - t e^{ia}| >= 2 sqrt(|z| t) sin(|arg z - a| / 2)``.
+    - Any other feature is evaluated only where its lower bounds are at
+      most the upper bound plus ``64 eps (rho + M)``.  The computed bounds
+      and distances err by a few ulps of ``rho + M`` each, well within
+      this slack, so a feature skipped at a point is strictly farther
+      there than the nearest one and can neither win nor tie.
+
+    Each evaluated distance is the floating-point expression of a scan over
+    every feature, both gates of a pair and both endpoints of an arc
+    included: folding ``z`` into the upper half-plane would skip one of
+    each, but moves near-tied distances by an ulp.  The least distance
+    wins, ties going to the first of arcs 0..n-1, gates 0..n-1 and the
+    outer circle, so for finite ``z`` the result is that scan's bit for
+    bit.
     """
     z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
     radii, psis, gate_phi = d.radii, d.psis, d.phis
-    n = len(radii) - 1
+    n, g = len(radii) - 1, len(gate_phi)
     M = radii[n]
 
     rho = np.abs(z)
-    ang = np.abs(np.angle(z))
-
     best_d = M - rho
     np.abs(best_d, out=best_d)
-    best_kind = np.full(z.shape, OUTER, dtype=np.int8)
-    best_idx = np.full(z.shape, n, dtype=np.int64)
+    # Feature f is arc f for f < n, gate f - n for n <= f < n + g and the
+    # outer circle for f = n + g.
+    best_f = np.full(z.shape, n + g)
     best_mod = np.full(z.shape, M, dtype=float)
+    if n:
+        r, psi = radii[:n], psis[:n]
+        ends = r * np.exp(1j * psi)
+        ang = np.abs(np.angle(z))
+        # The arc nearest in radius, at every point.
+        k = ((r[:-1, None] + r[1:, None]) / 2 < rho).sum(axis=0, dtype=np.int32)
+        dist_k = _arc_distance(z, rho, ang, r[k], psi[k], ends[k])
+        arc_won = dist_k <= best_d
+        np.minimum(best_d, dist_k, out=best_d)
+        best_f = np.where(arc_won, k, best_f)
+        best_mod = np.where(arc_won, r[k], best_mod)
 
-    # Gates first, then arcs, so that the final arc pass wins ties and the
-    # arcs < gates < outer preference order holds under argmin semantics.
-    for k in range(len(gate_phi) - 1, -1, -1):
-        a, b, phi = radii[k], radii[k + 1], gate_phi[k]
-        w = z * np.exp(-1j * phi)
-        t = np.clip(w.real, a, b)
-        dist = np.hypot(w.real - t, w.imag)
-        if phi > 0.0:
-            # mirror gate at -phi == gate at +phi seen from conj(z)
-            w2 = np.conj(z) * np.exp(-1j * phi)
-            t2 = np.clip(w2.real, a, b)
-            dist2 = np.hypot(w2.real - t2, w2.imag)
-            t = np.where(dist2 < dist, t2, t)
-            dist = np.minimum(dist, dist2)
-        take = dist <= best_d
-        best_d = np.where(take, dist, best_d)
-        best_kind = np.where(take, np.int8(GATE), best_kind)
-        best_idx = np.where(take, k, best_idx)
-        best_mod = np.where(take, t, best_mod)
+        # Every other feature, at the points its lower bounds allow.
+        thr = best_d + _SLACK * (rho + M)
+        below, above = rho - thr, rho + thr
+        arcs = (r[:, None] >= below) & (r[:, None] <= above)
+        arcs[k, np.arange(z.size)] = False
+        fa, pa = np.divmod(np.flatnonzero(arcs), z.size)
+        gates = (radii[1:g + 1, None] >= below) & (radii[:g, None] <= above)
+        kg, pg = np.divmod(np.flatnonzero(gates), z.size)
+        keep = np.flatnonzero(2 / np.pi * np.sqrt(rho[pg] * radii[kg])
+                              * np.abs(ang[pg] - gate_phi[kg]) <= thr[pg])
+        kg, pg = kg[keep], pg[keep]
+        dist_a = _arc_distance(z[pa], rho[pa], ang[pa], r[fa], psi[fa], ends[fa])
+        dist_g, mod_g = _gate_distance(z[pg], radii[kg], radii[kg + 1],
+                                       np.exp(-1j * gate_phi)[kg])
+        dist = np.concatenate([dist_a, dist_g])
+        mod = np.concatenate([r[fa], mod_g])
+        p = np.concatenate([pa, pg])
+        f = np.concatenate([fa, kg + n])
 
-    for k in range(n - 1, -1, -1):
-        r, psi = radii[k], psis[k]
-        onarc = ang <= psi
-        end = r * np.exp(1j * psi)
-        dist = np.where(onarc, np.abs(rho - r),
-                        np.minimum(np.abs(z - end), np.abs(z - np.conj(end))))
-        take = dist <= best_d
-        best_d = np.where(take, dist, best_d)
-        best_kind = np.where(take, np.int8(ARC), best_kind)
-        best_idx = np.where(take, k, best_idx)
-        best_mod = np.where(take, r, best_mod)
+        # Least distance per point, then the first feature at it.
+        bound = best_d.copy()
+        np.minimum.at(best_d, p, dist)
+        best_f[best_d < bound] = n + g
+        tied = np.flatnonzero(dist == best_d[p])
+        np.minimum.at(best_f, p[tied], f[tied])
+        won = tied[f[tied] == best_f[p[tied]]]
+        best_mod[p[won]] = mod[won]
 
-    return best_d, best_kind, best_idx, best_mod
+    kinds = np.repeat(np.array([ARC, GATE, OUTER], dtype=np.int8), (n, g, 1))
+    index = np.concatenate([np.arange(n), np.arange(g), [n]])
+    return (best_d.reshape(shape), kinds[best_f].reshape(shape),
+            index[best_f].reshape(shape), best_mod.reshape(shape))
 
 
 def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:

@@ -121,6 +121,20 @@ def evaluate(f: CandidateH, r: float) -> float:
     return f.values[i] + t * (f.values[i + 1] - f.values[i])
 
 
+def _evaluate_grid(f: CandidateH, rs: np.ndarray) -> np.ndarray:
+    """``evaluate`` at every radius of ``rs`` (all positive), with the same
+    floating-point operations."""
+    b = np.asarray(f.breakpoints)
+    v = np.asarray(f.values)
+    i = np.clip(np.searchsorted(b, rs, side="right") - 1, 0, len(b) - 2)
+    linear = np.array([k == LINEAR for k in f.kinds])[i]
+    t = (rs - b[i]) / (b[i + 1] - b[i])
+    out = np.where(linear, v[i] + t * (v[i + 1] - v[i]), v[i])
+    out[rs < b[0]] = 0.0
+    out[rs >= b[-1]] = 1.0
+    return out
+
+
 def left_limit(f: CandidateH, i: int) -> float:
     """lim of f at breakpoints[i] from below."""
     if i == 0:
@@ -226,15 +240,20 @@ def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
     # a sample in case of pathological float breakpoints.
     mu, M = f.mu, f.M
     rs = np.geomspace(mu, M, grid_size + 1)[1:]
-    vals = np.array([evaluate(f, float(r)) for r in rs])
+    vals = _evaluate_grid(f, rs)
     monotone = bool(np.all(np.diff(vals) >= -1e-15))
     range_ok = bool(np.all((vals >= 0.0) & (vals <= 1.0)))
     right_continuous = True  # structural: evaluate() uses the right value
+    # Screen with the vectorized bound, which may differ from the scalar
+    # one in the last bits, then decide each candidate radius in order with
+    # the scalar bound.
+    screen = 1.0 - (4.0 / np.pi) * np.arctan(np.sqrt(mu / rs))
     first = None
-    for r, v in zip(rs, vals):
-        bound = beurling_bound(mu, float(r))
+    for i in np.flatnonzero(vals < screen - 1e-12 + 1e-14):
+        r, v = float(rs[i]), float(vals[i])
+        bound = beurling_bound(mu, r)
         if v < bound - 1e-12:
-            first = (float(r), float(v), bound)
+            first = (r, v, bound)
             break
     return NecessaryReport(monotone, range_ok, right_continuous,
                            first is None, first, grid_size)

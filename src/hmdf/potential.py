@@ -210,6 +210,8 @@ def estimate_h(dom: WosDomain, radii: Sequence[float], z0: complex = 0.0,
     ensemble: h(r) is the CDF of the exit-point modulus (closed ball).
     Raises RuntimeError when no walk reached the boundary."""
     radii = [float(r) for r in radii]
+    if not all(math.isfinite(r) for r in radii):
+        raise ValueError("evaluation radii must be finite")
     if any(r2 < r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted")
     ens = wos_exit_ensemble(dom, z0, n_samples, config)

@@ -125,13 +125,22 @@ class TestExitCodes:
         step = tmp_path / "step.json"
         step.write_text(json.dumps({"kind": "step", "radii": [1.0, 2.0],
                                     "values": [0.5, 1.0]}))
+        circle = tmp_path / "circle.json"
+        circle.write_text(json.dumps({"kind": "circle", "radii": [1.0, 2.0],
+                                      "half_arclengths": [0.5, math.pi]}))
         for args in (["compute", "--domain", str(dom), "--engine", "fd"],
                      ["check", "--function", str(fn)],
                      ["compute", "--domain", str(disk), "--engine", "wos"],
                      ["compute", "--domain", str(good_disk), "--engine", "wos",
                       "--eps", "inf"],
                      ["invert", "--function", str(step), "--tol", "nan",
-                      "--out", str(tmp_path / "x.json")]):
+                      "--out", str(tmp_path / "x.json")],
+                     ["compute", "--domain", str(good_disk), "--engine", "wos",
+                      "--radii", "1.0,nan"],
+                     ["compute", "--domain", str(circle), "--engine", "wos",
+                      "--radii", "1.0,inf"],
+                     ["compute", "--domain", str(circle), "--engine", "fd",
+                      "--radii", "1.0,nan"]):
             r = run_cli(args)
             assert r.returncode == 2
             assert "finite" in r.stderr

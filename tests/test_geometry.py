@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmdf import geometry
-from hmdf.geometry import (Arc, BlockedCircleDomain, CircleDomain,
-                           NotInteriorError)
+from hmdf.geometry import (ARC, GATE, OUTER, Arc, BlockedCircleDomain,
+                           CircleDomain, NotInteriorError)
+from hmdf.potential import slit_disk
 
 
 def sample_boundary(dom, n_per_unit=200_000):
@@ -149,13 +150,123 @@ class TestEtaTheta:
 
 @st.composite
 def blocked_domains(draw):
-    n = draw(st.integers(1, 4))
+    """Blocked domains with 1-16 arcs, some of them point arcs (psi = 0)
+    and some gates on the axis (phi = 0)."""
+    n = draw(st.integers(1, 16))
     gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1, max_size=n + 1))
     radii = np.cumsum([0.5] + gaps)
-    psis = [draw(st.floats(0.01, math.pi - 0.01)) for _ in range(n)] + [math.pi]
-    phis = tuple(draw(st.floats(0.0, float(min(psis[k], psis[k + 1]))))
+    psis = [draw(st.just(0.0) | st.floats(0.01, math.pi - 0.01))
+            for _ in range(n)] + [math.pi]
+    phis = tuple(draw(st.just(0.0) | st.floats(0.0, float(min(psis[k], psis[k + 1]))))
                  for k in range(n))
     return BlockedCircleDomain(CircleDomain.from_arrays(radii, psis), phis)
+
+
+def domains():
+    """Blocked domains, their circle domains, and slit disks."""
+    return (blocked_domains()
+            | blocked_domains().map(lambda d: d.base)
+            | st.tuples(st.floats(0.1, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+            .map(lambda t: slit_disk(t[0], t[0] + t[1], t[0] + t[1] + t[2])))
+
+
+def scan_nearest_boundary(z, d):
+    """Reference: the full scan over every feature that ``nearest_boundary``
+    replaced, kept verbatim."""
+    z = np.asarray(z, dtype=complex)
+    radii, psis, gate_phi = d.radii, d.psis, d.phis
+    n = len(radii) - 1
+    M = radii[n]
+
+    rho = np.abs(z)
+    ang = np.abs(np.angle(z))
+
+    best_d = M - rho
+    np.abs(best_d, out=best_d)
+    best_kind = np.full(z.shape, OUTER, dtype=np.int8)
+    best_idx = np.full(z.shape, n, dtype=np.int64)
+    best_mod = np.full(z.shape, M, dtype=float)
+
+    # Gates first, then arcs, so that the final arc pass wins ties and the
+    # arcs < gates < outer preference order holds under argmin semantics.
+    for k in range(len(gate_phi) - 1, -1, -1):
+        a, b, phi = radii[k], radii[k + 1], gate_phi[k]
+        w = z * np.exp(-1j * phi)
+        t = np.clip(w.real, a, b)
+        dist = np.hypot(w.real - t, w.imag)
+        if phi > 0.0:
+            # mirror gate at -phi == gate at +phi seen from conj(z)
+            w2 = np.conj(z) * np.exp(-1j * phi)
+            t2 = np.clip(w2.real, a, b)
+            dist2 = np.hypot(w2.real - t2, w2.imag)
+            t = np.where(dist2 < dist, t2, t)
+            dist = np.minimum(dist, dist2)
+        take = dist <= best_d
+        best_d = np.where(take, dist, best_d)
+        best_kind = np.where(take, np.int8(GATE), best_kind)
+        best_idx = np.where(take, k, best_idx)
+        best_mod = np.where(take, t, best_mod)
+
+    for k in range(n - 1, -1, -1):
+        r, psi = radii[k], psis[k]
+        onarc = ang <= psi
+        end = r * np.exp(1j * psi)
+        dist = np.where(onarc, np.abs(rho - r),
+                        np.minimum(np.abs(z - end), np.abs(z - np.conj(end))))
+        take = dist <= best_d
+        best_d = np.where(take, dist, best_d)
+        best_kind = np.where(take, np.int8(ARC), best_kind)
+        best_idx = np.where(take, k, best_idx)
+        best_mod = np.where(take, r, best_mod)
+
+    return best_d, best_kind, best_idx, best_mod
+
+
+def adversarial_points(d, seed):
+    """Points where the nearest feature is close to a tie: arc endpoints
+    nudged by an ulp or so, whole circles of radius r_k, the gate rays and
+    their extensions, the real axis with both signs of zero (through the
+    radii and, nudged, the midpoints between them), the origin, and random
+    points inside and just outside the disk."""
+    rng = np.random.default_rng(seed)
+    radii, psis, phis = d.radii, d.psis, d.phis
+    M = radii[-1]
+    nudge = np.array([1.0, 1 - 1e-15, 1 + 1e-15, 1 - 4e-16, 1 + 4e-16])
+    ends = radii[:-1] * np.exp(1j * psis[:-1])
+    pts = [np.outer(np.concatenate([ends, ends.conj()]), nudge).ravel(),
+           np.outer(radii, np.exp(1j * rng.uniform(-math.pi, math.pi, 8))).ravel(),
+           np.outer(radii, np.exp(1j * np.concatenate([psis, -psis]))).ravel(),
+           [0j, complex(0.0, -0.0)]]
+    mids = np.outer((radii[:-1] + radii[1:]) / 2, nudge).ravel()
+    axis = np.concatenate([radii, mids, -radii, rng.uniform(-M, M, 8)])
+    pts.append(axis + 0j)
+    pts.append(np.array([complex(x, -0.0) for x in axis]))
+    for k, phi in enumerate(phis):
+        t = np.concatenate([rng.uniform(radii[k], radii[k + 1], 4),
+                            radii[k:k + 2], [0.5 * radii[k], radii[k + 1] + 0.1]])
+        ray = np.outer(t, np.exp(1j * phi * nudge)).ravel()
+        pts += [ray, ray.conj()]
+    pts.append(M * rng.uniform(0, 1.2, 64) * np.exp(1j * rng.uniform(-math.pi, math.pi, 64)))
+    return np.concatenate([np.asarray(p, dtype=complex) for p in pts])
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1))
+# Arc endpoints r e^{+-i psi}, and points an ulp or so beside them, where
+# a query that drops the arc hands the point to the outer circle.
+@example(CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi]), 0)
+@example(BlockedCircleDomain(CircleDomain.from_arrays([1.0, 1.4, 2.0],
+                                                      [1.1, 0.7, math.pi]),
+                             (0.3, 0.0)), 1)
+def test_nearest_boundary_matches_full_scan(d, seed):
+    """The pruned query returns the full scan's four arrays bit for bit."""
+    z = adversarial_points(d, seed)
+    got = geometry.nearest_boundary(z, d)
+    want = scan_nearest_boundary(z, d)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmdf import hfunction
-from hmdf.hfunction import (CONSTANT, LINEAR, CandidateH, StepH,
-                            beurling_bound, evaluate, example_jump_ramp,
-                            inverse, jump_at_mu, left_limit,
-                            minimal_secant_slope, necessary_checks,
-                            step_approximation)
+from hmdf.hfunction import (CONSTANT, LINEAR, CandidateH, NecessaryReport,
+                            StepH, beurling_bound, evaluate,
+                            example_jump_ramp, inverse, jump_at_mu,
+                            left_limit, minimal_secant_slope,
+                            necessary_checks, step_approximation)
 
 
 class TestCandidateH:
@@ -187,3 +187,27 @@ def test_step_approximation_below_f(f, n):
     s = step_approximation(f, n)
     for r in np.linspace(f.mu, f.M, 37):
         assert s(float(r)) <= evaluate(f, float(r)) + 1e-12
+
+
+def scalar_necessary_checks(f, grid_size=1024):
+    """Reference: ``necessary_checks`` as one scalar ``evaluate`` and
+    ``beurling_bound`` call per grid radius."""
+    rs = np.geomspace(f.mu, f.M, grid_size + 1)[1:]
+    vals = np.array([evaluate(f, float(r)) for r in rs])
+    first = None
+    for r, v in zip(rs, vals):
+        bound = beurling_bound(f.mu, float(r))
+        if v < bound - 1e-12:
+            first = (float(r), float(v), bound)
+            break
+    return NecessaryReport(bool(np.all(np.diff(vals) >= -1e-15)),
+                           bool(np.all((vals >= 0.0) & (vals <= 1.0))),
+                           True, first is None, first, grid_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidates(), st.sampled_from([16, 1024]))
+@example(example_jump_ramp(), 1024)
+@example(CandidateH((1.0, 1.5, 2.0), (0.0, 0.1, 1.0), (LINEAR, CONSTANT)), 1024)
+def test_necessary_checks_match_scalar_loop(f, grid_size):
+    assert necessary_checks(f, grid_size) == scalar_necessary_checks(f, grid_size)

@@ -1,6 +1,7 @@
 """Harmonic-measure engines: walk-on-spheres statistics against exact
 conformal oracles, an independent Poisson-kernel quadrature oracle, and the
 deterministic grid solver."""
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,24 @@ class TestWos:
         assert np.array_equal(e1.moduli, e2.moduli)
         assert np.array_equal(e1.kinds, e2.kinds)
         assert np.array_equal(e1.indices, e2.indices)
+
+    def test_golden_ensemble(self):
+        """Pins one seeded ensemble on a fixed 16-arc blocked domain, with
+        axis gates every third channel, to the bytes the full feature scan
+        gave (x86-64, NumPy 2.4): any change to a walk shows up here."""
+        k = np.arange(16)
+        radii = np.append(1.0 + 0.125 * k, 3.0)
+        psis = np.append(0.2 + 2.6 * ((7 * k) % 16) / 15, math.pi)
+        caps = np.minimum(psis[:-1], psis[1:])
+        phis = tuple(0.0 if j % 3 == 0 else 0.5 * float(c) for j, c in enumerate(caps))
+        dom = BlockedCircleDomain(CircleDomain.from_arrays(radii, psis), phis)
+        ens = wos_exit_ensemble(dom, 0.0, 10_000, WosConfig(seed=2012))
+        digest = hashlib.sha256()
+        for a in (ens.kinds, ens.indices, ens.moduli):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert (ens.sample_count, ens.discard_count) == (10_000, 0)
+        assert digest.hexdigest() == (
+            "8f89accd801e9e37403337dbaac19f313b2927d609e9e3b5ed9f58d4b03ee6b2")
 
     def test_not_interior_rejected(self):
         with pytest.raises(geometry.NotInteriorError):
