@@ -31,8 +31,11 @@ def main() -> None:
     res = solve_circle_domain(steps, SolveSettings(
         tol=args.tol, resolution=args.resolution))
     dom = res.domain
-    print(f"converged in {res.sweeps} measure evaluations, "
-          f"residual {res.residual:.2e}")
+    fine = sum(1 for r, _ in res.trace if r == args.resolution)
+    print(f"converged in {res.sweeps} measure evaluations ({fine} at "
+          f"resolution {args.resolution}), residual {res.residual:.2e}, "
+          f"fd error {res.fd_error:.1e} (resolution {args.resolution // 2} "
+          f"against {args.resolution})")
     for r, psi in zip(dom.radii, dom.psis):
         print(f"  arc r={r:g}  half-arclength psi={psi:.6f}")
 

@@ -315,8 +315,10 @@ def cmd_invert(args) -> int:
                                        epsilon=args.eps, seed=args.seed)
     res = construct.solve_circle_domain(f, settings)
     dump_domain(res.domain, args.out)
+    fd_error = (f", fd error {res.fd_error:.1e}" if math.isfinite(res.fd_error)
+                else "")
     print(f"converged in {res.sweeps} sweeps, residual {res.residual:.3e} "
-          f"(tolerance {res.tol_effective:.3e})")
+          f"(tolerance {res.tol_effective:.3e}){fd_error}")
     return EXIT_OK
 
 

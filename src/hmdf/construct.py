@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, geometry, hfunction
-from .fd import FdSolver
+from .fd import MIN_N_THETA, FdSolver
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
 from .potential import WosConfig, estimate_h, wos_exit_ensemble
@@ -75,6 +75,12 @@ class SolveResult:
     converged: bool
     engine: str
     tol_effective: float
+    # Sup-norm gap between the fd measures at resolution and at
+    # resolution // 2 at the same psis: the first-order scheme's error
+    # estimate (Richardson).  NaN for the wos engine and one-level solves.
+    fd_error: float
+    # (fd resolution or None for wos, sup residual) per measure evaluation.
+    trace: tuple[tuple[int | None, float], ...]
 
 
 def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
@@ -88,11 +94,12 @@ def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
     return np.clip(psis, 1e-3, _PSI_MAX)
 
 
-def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int):
+def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int,
+                  resolution: int):
     """Per-arc measures and endpoint-density estimates for one sweep."""
     n = dom.n_arcs
     if settings.engine == "fd":
-        solver = FdSolver(dom, n_theta=settings.resolution)
+        solver = FdSolver(dom, n_theta=resolution)
         m = solver.arc_measures()
         dens = np.array([solver.endpoint_density(k) for k in range(n)])
         return m, dens, 0.0
@@ -111,103 +118,152 @@ def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int):
     return m, dens, noise
 
 
+def _solve_level(measure, targets, psis, stop, budget, is_fd, J=None):
+    """One run of the inversion loop on one discretization.
+
+    Without a Jacobian ``J``: damped diagonal-secant sweeps bring the
+    cumulative measures close, then (fd engine) a finite-difference
+    Jacobian with rank-one (Broyden) refreshes finishes the strongly
+    coupled cases quadratically.  With a ``J`` carried over from a coarser
+    level, only the Newton-Broyden steps run.  Stops once the residual is
+    at most ``max(stop, noise)`` or after ``budget`` evaluations of
+    ``measure(psis) -> (cum, dens, noise)``.  Returns the best
+    ``(sup, psis, cum)`` seen and the Jacobian (None if none was formed).
+    """
+    n = len(psis)
+    solves = 0
+    best = (math.inf, psis, None)
+
+    def evaluate(p):
+        nonlocal solves
+        solves += 1
+        return measure(p)
+
+    cum, dens, noise = evaluate(psis)
+    resid = targets - cum
+    sup = float(np.abs(resid).max())
+    if sup < best[0]:
+        best = (sup, psis.copy(), cum)
+    if J is None:
+        # Damped sweeps with diagonal secant derivatives; the fd engine
+        # hands over to the Jacobian once the residual is below 0.02.
+        prev = None
+        dens_secant = None
+        while not (sup <= max(stop, noise) or (is_fd and sup < 0.02)
+                   or solves >= budget):
+            if prev is not None and is_fd:
+                dpsi = psis - prev[0]
+                dm = np.diff(cum, prepend=0.0) - np.diff(prev[1], prepend=0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    sec = np.where(np.abs(dpsi) > 1e-6, dm / dpsi, np.nan)
+                sec = np.where(np.isfinite(sec) & (sec > 1e-4), sec, np.nan)
+                if dens_secant is None:
+                    dens_secant = dens.copy()
+                dens_secant = np.where(np.isnan(sec), dens_secant, sec)
+                dens = dens_secant
+            prev = (psis.copy(), cum.copy())
+            step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
+            psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
+            cum, dens, noise = evaluate(psis)
+            resid = targets - cum
+            sup = float(np.abs(resid).max())
+            if sup < best[0]:
+                best = (sup, psis.copy(), cum)
+        if is_fd and sup > stop and solves + n <= budget:
+            fd_delta = 1e-3
+            J = np.zeros((n, n))
+            for k in range(n):
+                p2 = psis.copy()
+                p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
+                c2, _, _ = evaluate(p2)
+                J[:, k] = (c2 - cum) / (p2[k] - psis[k])
+
+    # Newton steps with Broyden rank-one refreshes resolve the inter-arc
+    # coupling that the diagonal sweeps cannot.
+    while J is not None and sup > stop and solves < budget:
+        try:
+            step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
+        except np.linalg.LinAlgError:
+            step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.3, 0.3)
+        new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
+        c2, _, _ = evaluate(new_psis)
+        sv = new_psis - psis
+        y = c2 - cum
+        nrm = float(sv @ sv)
+        if nrm > 1e-16:
+            J = J + np.outer(y - J @ sv, sv) / nrm
+        psis, cum = new_psis, c2
+        resid = targets - cum
+        sup = float(np.abs(resid).max())
+        if sup < best[0]:
+            best = (sup, psis.copy(), cum)
+    return best, J
+
+
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
     """Find a circle domain whose h-function is the given step function.
 
     The arc radii are the jump radii; the last jump radius is the outer
-    circle.  The half-arclengths are found in two phases: damped
-    diagonal-secant sweeps bring the cumulative measures close, then (fd
-    engine) a finite-difference Jacobian with rank-one (Broyden) refreshes
-    finishes the strongly coupled cases quadratically.  One measure
-    evaluation per step, at most ``settings.max_sweeps`` in all; the loop
-    polishes well below the requested tolerance so the angles themselves
-    are pinned down.  Raises SolveError on non-convergence.
+    circle.  The half-arclengths are found by ``_solve_level``: damped
+    sweeps, then (fd engine) a finite-difference Jacobian with Broyden
+    refreshes.  The fd engine runs it coarse to fine: first at
+    ``resolution // 2`` down to ``tol``, where a factorization costs about
+    a fifth as much, then at ``resolution`` from the coarse best psis with
+    the coarse Jacobian, Newton-Broyden steps only.  The wos engine, and
+    the fd engine when ``resolution // 2`` is below the solver's minimum,
+    run one level.  The last level polishes well below the requested
+    tolerance so the angles themselves are pinned down, and the returned
+    residual is its measurement.  One measure evaluation per step, at
+    most ``settings.max_sweeps`` over both levels, at least one of them
+    at ``resolution``.  Raises SolveError on non-convergence.
     """
     radii = np.array(steps.radii)
     jumps = steps.jumps
     n = len(radii) - 1  # proper arcs
     if n == 0:
         return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, 0, True,
-                           settings.engine, settings.tol)
+                           settings.engine, settings.tol, math.nan, ())
     targets = np.cumsum(jumps)[:-1]
     psis = _initial_psis(steps, settings.warm_start)
     is_fd = settings.engine == "fd"
-    budget = settings.max_sweeps
     tol_eff = settings.tol
     polish = 0.2 * settings.tol
-    solves = 0
+    trace = []
+    cums = []
 
-    def measure(p):
-        nonlocal solves, tol_eff
-        solves += 1
-        dom = CircleDomain.from_arrays(radii, np.append(p, math.pi))
-        m, dens, noise = _measure_arcs(dom, settings, solves)
-        tol_eff = max(settings.tol, noise)
-        return np.cumsum(m), dens, noise
+    def measure_at(resolution):
+        def measure(p):
+            nonlocal tol_eff
+            dom = CircleDomain.from_arrays(radii, np.append(p, math.pi))
+            m, dens, noise = _measure_arcs(dom, settings, len(trace) + 1,
+                                           resolution)
+            tol_eff = max(settings.tol, noise)
+            cum = np.cumsum(m)
+            trace.append((resolution if is_fd else None,
+                          float(np.abs(targets - cum).max())))
+            cums.append(cum)
+            return cum, dens, noise
+        return measure
 
-    best = (math.inf, psis.copy())
-
-    # Phase 1: damped sweeps with diagonal secant derivatives; the fd
-    # engine hands over to phase 2 once the residual is below 0.02.
-    prev = None
-    dens_secant = None
-    cum, dens, noise = measure(psis)
-    while True:
-        resid = targets - cum
-        sup = float(np.abs(resid).max())
-        if sup < best[0]:
-            best = (sup, psis.copy())
-        if sup <= max(polish, noise) or (is_fd and sup < 0.02) or solves >= budget:
-            break
-        if prev is not None and is_fd:
-            dpsi = psis - prev[0]
-            dm = np.diff(cum, prepend=0.0) - np.diff(prev[1], prepend=0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sec = np.where(np.abs(dpsi) > 1e-6, dm / dpsi, np.nan)
-            sec = np.where(np.isfinite(sec) & (sec > 1e-4), sec, np.nan)
-            if dens_secant is None:
-                dens_secant = dens.copy()
-            dens_secant = np.where(np.isnan(sec), dens_secant, sec)
-            dens = dens_secant
-        prev = (psis.copy(), cum.copy())
-        step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
-        psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-        cum, dens, noise = measure(psis)
-
-    # Phase 2 (fd engine): finite-difference Jacobian of the cumulative
-    # measures, then Newton steps with Broyden rank-one refreshes to
-    # resolve the inter-arc coupling that the diagonal phase cannot.
-    if is_fd and sup > polish and solves + n <= budget:
-        fd_delta = 1e-3
-        J = np.zeros((n, n))
-        for k in range(n):
-            p2 = psis.copy()
-            p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
-            c2, _, _ = measure(p2)
-            J[:, k] = (c2 - cum) / (p2[k] - psis[k])
-        while sup > polish and solves < budget:
-            try:
-                step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
-            except np.linalg.LinAlgError:
-                step = np.clip(resid / np.maximum(np.diag(J), 0.02),
-                               -0.3, 0.3)
-            new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
-            c2, _, _ = measure(new_psis)
-            sv = new_psis - psis
-            y = c2 - cum
-            nrm = float(sv @ sv)
-            if nrm > 1e-16:
-                J = J + np.outer(y - J @ sv, sv) / nrm
-            psis, cum = new_psis, c2
-            resid = targets - cum
-            sup = float(np.abs(resid).max())
-            if sup < best[0]:
-                best = (sup, psis.copy())
-
-    sup, psis = best
+    J = None
+    fd_error = math.nan
+    if (is_fd and settings.resolution // 2 >= MIN_N_THETA
+            and settings.max_sweeps > 1):
+        (_, psis, coarse_cum), J = _solve_level(
+            measure_at(settings.resolution // 2), targets, psis,
+            settings.tol, settings.max_sweeps - 1, is_fd)
+    n_coarse = len(trace)
+    (sup, psis, _), _ = _solve_level(
+        measure_at(settings.resolution), targets, psis, polish,
+        settings.max_sweeps - n_coarse, is_fd, J)
+    if n_coarse:
+        # the fine level measures the coarse best psis first
+        fd_error = float(np.abs(cums[n_coarse] - coarse_cum).max())
+    solves = len(trace)
     if sup <= tol_eff:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        return SolveResult(dom, sup, solves, True, settings.engine, tol_eff)
+        return SolveResult(dom, sup, solves, True, settings.engine, tol_eff,
+                           fd_error, tuple(trace))
     raise SolveError(
         f"inversion stalled after {solves} measure evaluations: "
         f"residual {sup:.3e} > tolerance {tol_eff:.3e}")

@@ -31,11 +31,11 @@ from scipy.sparse.linalg import splu
 from . import geometry
 from .geometry import ARC, GATE, KINDS, OUTER
 
-__all__ = ["FdSolver"]
+__all__ = ["FdSolver", "MIN_N_THETA"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 _MATCH = 2e-9   # membership tolerance against merged rays / rings
-_MIN_N_THETA = 8  # coarsest usable angular resolution
+MIN_N_THETA = 8  # coarsest usable angular resolution
 
 
 def _angular_rays(d, n_theta: int) -> np.ndarray:
@@ -90,8 +90,8 @@ class FdSolver:
 
     def __init__(self, dom: geometry.Domain, n_theta: int = 512):
         self.n_theta = int(n_theta)
-        if self.n_theta < _MIN_N_THETA:
-            raise ValueError(f"fd resolution must be at least {_MIN_N_THETA}, "
+        if self.n_theta < MIN_N_THETA:
+            raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
                              f"got {n_theta}")
         geometry.check_usable(dom)
         self.domain = dom

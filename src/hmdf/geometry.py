@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -42,6 +43,17 @@ KINDS = ("arc", "gate", "outer-circle")
 ARC, GATE, OUTER = range(len(KINDS))
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float array: domains are immutable, and their array
+    views are computed once and shared by every caller."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_NO_GATES = _frozen(())
+
+
 class NotInteriorError(ValueError):
     """The query point is outside the domain or on its boundary."""
 
@@ -64,7 +76,7 @@ class CircleDomain:
     """Disk minus concentric arcs; the last arc is the full outer circle.
 
     It reads like a blocked circle domain without gates: ``base`` is the
-    domain itself and ``phis`` is empty.
+    domain itself and ``phis`` is empty.  The array views are read-only.
     """
 
     arcs: tuple[Arc, ...]
@@ -75,15 +87,15 @@ class CircleDomain:
 
     @property
     def phis(self) -> np.ndarray:
-        return np.empty(0)
+        return _NO_GATES
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([a.radius for a in self.arcs], dtype=float)
+        return _frozen([a.radius for a in self.arcs])
 
-    @property
+    @cached_property
     def psis(self) -> np.ndarray:
-        return np.array([a.half_arclength for a in self.arcs], dtype=float)
+        return _frozen([a.half_arclength for a in self.arcs])
 
     @property
     def n_arcs(self) -> int:
@@ -114,6 +126,7 @@ class BlockedCircleDomain:
 
     ``gate_angles[k]`` is the angle phi_k of the gates joining arc k to
     arc k+1; phi_k = 0 means a single gate on the positive real axis.
+    The array views are read-only.
     """
 
     base: CircleDomain
@@ -127,9 +140,9 @@ class BlockedCircleDomain:
     def psis(self) -> np.ndarray:
         return self.base.psis
 
-    @property
+    @cached_property
     def phis(self) -> np.ndarray:
-        return np.array(self.gate_angles, dtype=float)
+        return _frozen(self.gate_angles)
 
     @property
     def chis(self) -> np.ndarray:

@@ -156,13 +156,18 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     moduli = np.empty(n_samples, dtype=float)
     done_mask = np.zeros(n_samples, dtype=bool)
     discards = 0
+    # Every walk starts at z0: one query serves the first step of all.
+    start = _nearest(dom, np.full(1, complex(z0)))
     for b_start in range(0, n_samples, _BATCH):
         b = min(_BATCH, n_samples - b_start)
         rng = np.random.default_rng([config.seed, b_start // _BATCH])
         z = np.full(b, complex(z0))
         alive = np.arange(b)
-        for _ in range(config.max_steps):
-            dist, kk, ii, mm = _nearest(dom, z)
+        for step in range(config.max_steps):
+            if step:
+                dist, kk, ii, mm = _nearest(dom, z)
+            else:
+                dist, kk, ii, mm = (np.repeat(a, b) for a in start)
             hit = dist < eps_abs
             if hit.any():
                 sel = alive[hit]

@@ -9,6 +9,7 @@ from hmdf import bounds, construct, geometry, hfunction, potential
 from hmdf.construct import (SolveError, SolveSettings, build_blocked,
                             check_candidate, solve_circle_domain,
                             ulc_diagnostics)
+from hmdf.fd import FdSolver
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.hfunction import CONSTANT, LINEAR, CandidateH, StepH
 
@@ -35,6 +36,9 @@ class TestSolveCircleDomain:
         settings = SolveSettings(engine="wos", wos_samples=60_000, seed=1)
         res = solve_circle_domain(StepH((1.0, 2.0), (0.5, 1.0)), settings)
         assert res.converged
+        # one level, no discretization to estimate the error of
+        assert math.isnan(res.fd_error)
+        assert [r for r, _ in res.trace] == [None] * res.sweeps
         # stochastic engine: tolerance inflated to the sampling noise
         assert res.domain.psis[0] == pytest.approx(
             PSI0_TWO_JUMP, abs=3 * res.tol_effective / 0.3)
@@ -42,10 +46,43 @@ class TestSolveCircleDomain:
     def test_round_trip(self):
         steps = StepH((1.0, 1.4, 2.0), (0.3, 0.65, 1.0))
         res = solve_circle_domain(steps)
-        from hmdf.fd import FdSolver
         solver = FdSolver(res.domain, n_theta=512)
         hv = solver.h_table(steps.radii)
         assert np.abs(hv - np.array(steps.values)).max() <= 1e-3
+
+    def test_coarse_to_fine(self):
+        steps = StepH((1.0, 1.4, 2.0), (0.3, 0.65, 1.0))
+        settings = SolveSettings(resolution=256)
+        res = solve_circle_domain(steps, settings)
+        levels = [r for r, _ in res.trace]
+        assert len(levels) == res.sweeps
+        # the coarse level runs first, the fine level last and at least once
+        n_coarse = levels.index(256)
+        assert n_coarse > 0
+        assert levels == [128] * n_coarse + [256] * (res.sweeps - n_coarse)
+        # the returned residual is a fine-level measurement
+        solver = FdSolver(res.domain, n_theta=256)
+        remeasured = np.abs(np.cumsum(solver.arc_measures())
+                            - np.array(steps.values[:-1])).max()
+        assert res.residual == pytest.approx(remeasured, abs=1e-12)
+        assert res.residual == min(s for r, s in res.trace if r == 256)
+        # first-order grid error, read off the two levels at one psi
+        assert 0.0 < res.fd_error < 1e-2
+
+    @pytest.mark.parametrize("resolution", [8, 12])
+    def test_one_level_below_twice_the_minimum(self, resolution):
+        res = solve_circle_domain(StepH((1.0, 2.0), (0.5, 1.0)),
+                                  SolveSettings(resolution=resolution, tol=1e-2))
+        assert [r for r, _ in res.trace] == [resolution] * res.sweeps
+        assert math.isnan(res.fd_error)
+
+    def test_jump_ramp_fine_level_evaluations(self):
+        # the carried coarse Jacobian leaves the fine level a few
+        # Newton-Broyden steps on the hardest pipeline stage
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
+        res = solve_circle_domain(steps, SolveSettings(resolution=512))
+        assert sum(1 for r, _ in res.trace if r == 512) <= 10
+        assert res.residual <= 0.2e-3
 
     def test_warm_start_uniqueness(self):
         steps = StepH((1.0, 1.4, 2.0), (0.3, 0.65, 1.0))
@@ -55,7 +92,8 @@ class TestSolveCircleDomain:
 
     def test_nonconvergence_reported(self):
         steps = StepH((1.0, 2.0), (0.5, 1.0))
-        # max_sweeps bounds every measure evaluation, Newton phase included
+        # max_sweeps bounds every measure evaluation, Newton phase and both
+        # levels included
         with pytest.raises(SolveError,
                            match="after 4 measure evaluations: residual"):
             solve_circle_domain(steps, SolveSettings(tol=1e-18, max_sweeps=4))

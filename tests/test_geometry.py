@@ -94,6 +94,17 @@ class TestNearestBoundary:
                                     blocked_example)[0]
 
 
+def test_domain_arrays_read_only(blocked_example):
+    # domains are frozen: their arrays are computed once and cannot be
+    # written through
+    for d in (blocked_example, blocked_example.base):
+        for name in ("radii", "psis", "phis"):
+            a = getattr(d, name)
+            assert a is getattr(d, name)
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
 class TestValidate:
     def test_good_domain(self, blocked_example):
         assert geometry.validate(blocked_example) == []

@@ -132,6 +132,22 @@ class TestWos:
         assert digest.hexdigest() == (
             "8f89accd801e9e37403337dbaac19f313b2927d609e9e3b5ed9f58d4b03ee6b2")
 
+    def test_start_point_queried_once(self, monkeypatch):
+        # every walk starts at z0, so one query serves all first steps
+        sizes = []
+        nearest = geometry.nearest_boundary
+
+        def recording(z, d):
+            sizes.append((z.size, bool(np.all(z == 0.25))))
+            return nearest(z, d)
+
+        monkeypatch.setattr(geometry, "nearest_boundary", recording)
+        dom = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
+        ens = wos_exit_ensemble(dom, 0.25, potential._BATCH + 100,
+                                WosConfig(seed=5))
+        assert ens.sample_count == potential._BATCH + 100
+        assert all(size == 1 for size, at_z0 in sizes if at_z0)
+
     def test_not_interior_rejected(self):
         with pytest.raises(geometry.NotInteriorError):
             wos_exit_ensemble(OffCenterDisk(0.5, 1.0), 2.0, 10)
