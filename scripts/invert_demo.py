@@ -6,6 +6,7 @@ arc half-arclengths whose harmonic-measure jumps reproduce it, and the
 result is re-measured independently.
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -31,11 +32,14 @@ def main() -> None:
     res = solve_circle_domain(steps, SolveSettings(
         tol=args.tol, resolution=args.resolution))
     dom = res.domain
-    fine = sum(1 for r, _ in res.trace if r == args.resolution)
-    print(f"converged in {res.sweeps} measure evaluations ({fine} at "
-          f"resolution {args.resolution}), residual {res.residual:.2e}, "
-          f"fd error {res.fd_error:.1e} (resolution {args.resolution // 2} "
-          f"against {args.resolution})")
+    levels = ""
+    if math.isfinite(res.fd_error):
+        fine = sum(1 for r, _ in res.trace if r == args.resolution)
+        levels = (f" ({fine} at resolution {args.resolution}), fd error "
+                  f"{res.fd_error:.1e} (resolution {args.resolution // 2} "
+                  f"against {args.resolution})")
+    print(f"converged in {res.sweeps} measure evaluations, residual "
+          f"{res.residual:.2e}{levels}")
     for r, psi in zip(dom.radii, dom.psis):
         print(f"  arc r={r:g}  half-arclength psi={psi:.6f}")
 

@@ -39,6 +39,9 @@ __all__ = [
 
 _PSI_MIN = 1e-6
 _PSI_MAX = math.pi - 1e-4
+# Below this sup residual the measures move by rounding only (about 1e-15
+# at convergence), so further steps cannot improve the angles.
+_SUP_FLOOR = 1e-12
 ENGINES = ("wos", "fd")
 
 
@@ -118,30 +121,26 @@ def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int,
     return m, dens, noise
 
 
-def _solve_level(measure, targets, psis, stop, budget, is_fd, J=None):
+def _solve_level(measure, trace, targets, psis, stop, budget, is_fd, J=None):
     """One run of the inversion loop on one discretization.
 
     Without a Jacobian ``J``: damped diagonal-secant sweeps bring the
     cumulative measures close, then (fd engine) a finite-difference
     Jacobian with rank-one (Broyden) refreshes finishes the strongly
     coupled cases quadratically.  With a ``J`` carried over from a coarser
-    level, only the Newton-Broyden steps run.  Stops once the residual is
-    at most ``max(stop, noise)`` or after ``budget`` evaluations of
-    ``measure(psis) -> (cum, dens, noise)``.  Returns the best
-    ``(sup, psis, cum)`` seen and the Jacobian (None if none was formed).
+    level, only the Newton-Broyden steps run.  ``measure(psis)`` returns
+    ``(cum, dens, noise, sup)`` and appends one entry to ``trace``; the
+    loop stops once the residual is at most ``max(stop, noise,
+    _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.  Returns
+    the best ``(sup, psis, cum)`` seen, the Jacobian (None if none was
+    formed) and the cumulative measures of the first evaluation.
     """
     n = len(psis)
-    solves = 0
-    best = (math.inf, psis, None)
-
-    def evaluate(p):
-        nonlocal solves
-        solves += 1
-        return measure(p)
-
-    cum, dens, noise = evaluate(psis)
+    stop = max(stop, _SUP_FLOOR)
+    cum, dens, noise, sup = measure(psis)
+    first_cum = cum
     resid = targets - cum
-    sup = float(np.abs(resid).max())
+    best = (math.inf, psis.copy(), cum)
     if sup < best[0]:
         best = (sup, psis.copy(), cum)
     if J is None:
@@ -150,7 +149,7 @@ def _solve_level(measure, targets, psis, stop, budget, is_fd, J=None):
         prev = None
         dens_secant = None
         while not (sup <= max(stop, noise) or (is_fd and sup < 0.02)
-                   or solves >= budget):
+                   or len(trace) >= budget):
             if prev is not None and is_fd:
                 dpsi = psis - prev[0]
                 dm = np.diff(cum, prepend=0.0) - np.diff(prev[1], prepend=0.0)
@@ -164,29 +163,28 @@ def _solve_level(measure, targets, psis, stop, budget, is_fd, J=None):
             prev = (psis.copy(), cum.copy())
             step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
             psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-            cum, dens, noise = evaluate(psis)
+            cum, dens, noise, sup = measure(psis)
             resid = targets - cum
-            sup = float(np.abs(resid).max())
             if sup < best[0]:
                 best = (sup, psis.copy(), cum)
-        if is_fd and sup > stop and solves + n <= budget:
+        if is_fd and sup > stop and len(trace) + n <= budget:
             fd_delta = 1e-3
             J = np.zeros((n, n))
             for k in range(n):
                 p2 = psis.copy()
                 p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
-                c2, _, _ = evaluate(p2)
+                c2 = measure(p2)[0]
                 J[:, k] = (c2 - cum) / (p2[k] - psis[k])
 
     # Newton steps with Broyden rank-one refreshes resolve the inter-arc
     # coupling that the diagonal sweeps cannot.
-    while J is not None and sup > stop and solves < budget:
+    while J is not None and sup > stop and len(trace) < budget:
         try:
             step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
         except np.linalg.LinAlgError:
             step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.3, 0.3)
         new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
-        c2, _, _ = evaluate(new_psis)
+        c2, _, _, sup = measure(new_psis)
         sv = new_psis - psis
         y = c2 - cum
         nrm = float(sv @ sv)
@@ -194,10 +192,9 @@ def _solve_level(measure, targets, psis, stop, budget, is_fd, J=None):
             J = J + np.outer(y - J @ sv, sv) / nrm
         psis, cum = new_psis, c2
         resid = targets - cum
-        sup = float(np.abs(resid).max())
         if sup < best[0]:
             best = (sup, psis.copy(), cum)
-    return best, J
+    return best, J, first_cum
 
 
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
@@ -207,15 +204,18 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     circle.  The half-arclengths are found by ``_solve_level``: damped
     sweeps, then (fd engine) a finite-difference Jacobian with Broyden
     refreshes.  The fd engine runs it coarse to fine: first at
-    ``resolution // 2`` down to ``tol``, where a factorization costs about
-    a fifth as much, then at ``resolution`` from the coarse best psis with
-    the coarse Jacobian, Newton-Broyden steps only.  The wos engine, and
-    the fd engine when ``resolution // 2`` is below the solver's minimum,
-    run one level.  The last level polishes well below the requested
-    tolerance so the angles themselves are pinned down, and the returned
-    residual is its measurement.  One measure evaluation per step, at
-    most ``settings.max_sweeps`` over both levels, at least one of them
-    at ``resolution``.  Raises SolveError on non-convergence.
+    ``resolution // 2``, where a factorization costs about a fifth as
+    much, then at ``resolution`` from the coarse best psis with the coarse
+    Jacobian, Newton-Broyden steps only.  The coarse level stops at
+    ``tol`` or with a quarter of the budget left, since the coarse grid's
+    own floor can lie near a small ``tol``; the fine level gets the rest
+    (the full loop if the coarse level formed no Jacobian).  The wos
+    engine, and the fd engine when ``resolution // 2`` is below the
+    solver's minimum, run one level.  The last level polishes well below
+    the requested tolerance so the angles themselves are pinned down, and
+    the returned residual is its measurement.  One measure evaluation per
+    step, at most ``settings.max_sweeps`` over both levels, at least one
+    of them at ``resolution``.  Raises SolveError on non-convergence.
     """
     radii = np.array(steps.radii)
     jumps = steps.jumps
@@ -226,10 +226,9 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     targets = np.cumsum(jumps)[:-1]
     psis = _initial_psis(steps, settings.warm_start)
     is_fd = settings.engine == "fd"
+    budget = settings.max_sweeps
     tol_eff = settings.tol
-    polish = 0.2 * settings.tol
     trace = []
-    cums = []
 
     def measure_at(resolution):
         def measure(p):
@@ -239,33 +238,31 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
                                            resolution)
             tol_eff = max(settings.tol, noise)
             cum = np.cumsum(m)
-            trace.append((resolution if is_fd else None,
-                          float(np.abs(targets - cum).max())))
-            cums.append(cum)
-            return cum, dens, noise
+            sup = float(np.abs(targets - cum).max())
+            trace.append((resolution if is_fd else None, sup))
+            return cum, dens, noise, sup
         return measure
 
     J = None
     fd_error = math.nan
-    if (is_fd and settings.resolution // 2 >= MIN_N_THETA
-            and settings.max_sweeps > 1):
-        (_, psis, coarse_cum), J = _solve_level(
-            measure_at(settings.resolution // 2), targets, psis,
-            settings.tol, settings.max_sweeps - 1, is_fd)
-    n_coarse = len(trace)
-    (sup, psis, _), _ = _solve_level(
-        measure_at(settings.resolution), targets, psis, polish,
-        settings.max_sweeps - n_coarse, is_fd, J)
-    if n_coarse:
+    coarse = (is_fd and settings.resolution // 2 >= MIN_N_THETA
+              and budget > 1)
+    if coarse:
+        (_, psis, coarse_cum), J, _ = _solve_level(
+            measure_at(settings.resolution // 2), trace, targets, psis,
+            settings.tol, budget - max(1, budget // 4), is_fd)
+    (sup, psis, _), _, fine_cum = _solve_level(
+        measure_at(settings.resolution), trace, targets, psis,
+        0.2 * settings.tol, budget, is_fd, J)
+    if coarse:
         # the fine level measures the coarse best psis first
-        fd_error = float(np.abs(cums[n_coarse] - coarse_cum).max())
-    solves = len(trace)
+        fd_error = float(np.abs(fine_cum - coarse_cum).max())
     if sup <= tol_eff:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        return SolveResult(dom, sup, solves, True, settings.engine, tol_eff,
-                           fd_error, tuple(trace))
+        return SolveResult(dom, sup, len(trace), True, settings.engine,
+                           tol_eff, fd_error, tuple(trace))
     raise SolveError(
-        f"inversion stalled after {solves} measure evaluations: "
+        f"inversion stalled after {len(trace)} measure evaluations: "
         f"residual {sup:.3e} > tolerance {tol_eff:.3e}")
 
 

@@ -84,6 +84,14 @@ class TestSolveCircleDomain:
         assert sum(1 for r, _ in res.trace if r == 512) <= 10
         assert res.residual <= 0.2e-3
 
+    def test_jump_ramp_tight_tolerance_converges(self):
+        # below the coarse grid's own floor the coarse level stops with a
+        # quarter of the budget left, and the fine level converges on it
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
+        res = solve_circle_domain(steps, SolveSettings(resolution=512, tol=2e-4))
+        assert res.converged and res.residual <= 2e-4
+        assert sum(1 for r, _ in res.trace if r == 512) >= 60 // 4
+
     def test_warm_start_uniqueness(self):
         steps = StepH((1.0, 1.4, 2.0), (0.3, 0.65, 1.0))
         a = solve_circle_domain(steps, SolveSettings(warm_start="proportional"))
