@@ -331,7 +331,9 @@ def _report_json(rep: construct.ConstructionReport) -> dict:
         if isinstance(obj, dict):
             return {str(k): clean(v) for k, v in obj.items()}
         if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
+            obj = obj.item()
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return None  # strict JSON has no NaN (say, a one-level fd_error)
         if isinstance(obj, np.ndarray):
             return obj.tolist()
         return obj

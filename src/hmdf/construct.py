@@ -99,102 +99,70 @@ def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
 
 def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int,
                   resolution: int):
-    """Per-arc measures and endpoint-density estimates for one sweep."""
-    n = dom.n_arcs
+    """Per-arc measures, a zero-argument function returning their Jacobian
+    in the half-arclengths, and the sampling noise, for one evaluation.
+    The fd Jacobian is exact; the wos one is a diagonal of endpoint
+    density estimates."""
     if settings.engine == "fd":
         solver = FdSolver(dom, n_theta=resolution)
-        m = solver.arc_measures()
-        dens = np.array([solver.endpoint_density(k) for k in range(n)])
-        return m, dens, 0.0
+        return solver.arc_measures(), solver.arc_measure_jacobian, 0.0
     ens = wos_exit_ensemble(dom, 0.0, settings.wos_samples,
                             WosConfig(epsilon=settings.epsilon,
                                       seed=settings.seed + 7919 * sweep))
     if ens.sample_count == 0:
         raise RuntimeError(f"no walk reached the boundary: all "
                            f"{ens.discard_count} walks were discarded")
-    m = np.zeros(n)
+    m = np.zeros(dom.n_arcs)
     arcs = ens.kinds == geometry.ARC
     np.add.at(m, ens.indices[arcs], np.ones(arcs.sum()))
     m /= ens.sample_count
     dens = np.maximum(m / (2.0 * dom.psis[:-1]), 0.05)
     noise = 3.0 * math.sqrt(0.25 / ens.sample_count)
-    return m, dens, noise
+    return m, lambda: np.diag(dens), noise
 
 
-def _solve_level(measure, trace, targets, psis, stop, budget, is_fd, J=None):
+def _solve_level(measure, trace, targets, psis, stop, budget, is_fd,
+                 accept=math.inf):
     """One run of the inversion loop on one discretization.
 
-    Without a Jacobian ``J``: damped diagonal-secant sweeps bring the
-    cumulative measures close, then (fd engine) a finite-difference
-    Jacobian with rank-one (Broyden) refreshes finishes the strongly
-    coupled cases quadratically.  With a ``J`` carried over from a coarser
-    level, only the Newton-Broyden steps run.  ``measure(psis)`` returns
-    ``(cum, dens, noise, sup)`` and appends one entry to ``trace``; the
+    Damped sweeps, each arc stepped by its own cumulative residual over
+    the matching diagonal entry of the Jacobian, bring the cumulative
+    measures close; below a residual of 0.02 the fd engine switches to
+    Newton steps, each with the exact Jacobian of the evaluation it starts
+    from, which resolve the inter-arc coupling the sweeps cannot.
+    ``measure(psis)`` returns ``(cum, jac, noise, sup)``, with ``jac()``
+    the per-arc measure Jacobian, and appends one entry to ``trace``; the
     loop stops once the residual is at most ``max(stop, noise,
-    _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.  Returns
-    the best ``(sup, psis, cum)`` seen, the Jacobian (None if none was
-    formed) and the cumulative measures of the first evaluation.
+    _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.  It also
+    stops after a Newton step that does not improve on the best residual
+    once that best is at most ``accept``: an exact step fails only where
+    it crosses a filler-count threshold of the grid, and from there the
+    steps cycle between the two sides.  Returns the best ``(sup, psis,
+    cum)`` seen and the cumulative measures of the first evaluation.
     """
-    n = len(psis)
     stop = max(stop, _SUP_FLOOR)
-    cum, dens, noise, sup = measure(psis)
+    cum, jac, noise, sup = measure(psis)
     first_cum = cum
-    resid = targets - cum
-    best = (math.inf, psis.copy(), cum)
-    if sup < best[0]:
-        best = (sup, psis.copy(), cum)
-    if J is None:
-        # Damped sweeps with diagonal secant derivatives; the fd engine
-        # hands over to the Jacobian once the residual is below 0.02.
-        prev = None
-        dens_secant = None
-        while not (sup <= max(stop, noise) or (is_fd and sup < 0.02)
-                   or len(trace) >= budget):
-            if prev is not None and is_fd:
-                dpsi = psis - prev[0]
-                dm = np.diff(cum, prepend=0.0) - np.diff(prev[1], prepend=0.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    sec = np.where(np.abs(dpsi) > 1e-6, dm / dpsi, np.nan)
-                sec = np.where(np.isfinite(sec) & (sec > 1e-4), sec, np.nan)
-                if dens_secant is None:
-                    dens_secant = dens.copy()
-                dens_secant = np.where(np.isnan(sec), dens_secant, sec)
-                dens = dens_secant
-            prev = (psis.copy(), cum.copy())
-            step = np.clip(resid / np.maximum(dens, 0.02), -0.5, 0.5)
-            psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-            cum, dens, noise, sup = measure(psis)
-            resid = targets - cum
-            if sup < best[0]:
-                best = (sup, psis.copy(), cum)
-        if is_fd and sup > stop and len(trace) + n <= budget:
-            fd_delta = 1e-3
-            J = np.zeros((n, n))
-            for k in range(n):
-                p2 = psis.copy()
-                p2[k] = min(p2[k] + fd_delta, _PSI_MAX)
-                c2 = measure(p2)[0]
-                J[:, k] = (c2 - cum) / (p2[k] - psis[k])
-
-    # Newton steps with Broyden rank-one refreshes resolve the inter-arc
-    # coupling that the diagonal sweeps cannot.
-    while J is not None and sup > stop and len(trace) < budget:
-        try:
-            step = np.clip(np.linalg.solve(J, resid), -0.3, 0.3)
-        except np.linalg.LinAlgError:
-            step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.3, 0.3)
-        new_psis = np.clip(psis + step, _PSI_MIN, _PSI_MAX)
-        c2, _, _, sup = measure(new_psis)
-        sv = new_psis - psis
-        y = c2 - cum
-        nrm = float(sv @ sv)
-        if nrm > 1e-16:
-            J = J + np.outer(y - J @ sv, sv) / nrm
-        psis, cum = new_psis, c2
+    best = (sup, psis.copy(), cum)
+    while not (sup <= max(stop, noise) or len(trace) >= budget):
         resid = targets - cum
+        J = np.cumsum(jac(), axis=0)  # of the cumulative measures
+        newton = is_fd and sup < 0.02
+        if newton:
+            try:
+                step = np.linalg.solve(J, resid)
+            except np.linalg.LinAlgError:
+                step = resid / np.maximum(np.diag(J), 0.02)
+            psis = np.clip(psis + np.clip(step, -0.3, 0.3), _PSI_MIN, _PSI_MAX)
+        else:
+            step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.5, 0.5)
+            psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
+        cum, jac, noise, sup = measure(psis)
         if sup < best[0]:
             best = (sup, psis.copy(), cum)
-    return best, J, first_cum
+        elif newton and best[0] <= accept:
+            break
+    return best, first_cum
 
 
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
@@ -202,20 +170,21 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
 
     The arc radii are the jump radii; the last jump radius is the outer
     circle.  The half-arclengths are found by ``_solve_level``: damped
-    sweeps, then (fd engine) a finite-difference Jacobian with Broyden
-    refreshes.  The fd engine runs it coarse to fine: first at
+    sweeps, then (fd engine) Newton steps with the exact Jacobian of each
+    evaluation.  The fd engine runs it coarse to fine: first at
     ``resolution // 2``, where a factorization costs about a fifth as
-    much, then at ``resolution`` from the coarse best psis with the coarse
-    Jacobian, Newton-Broyden steps only.  The coarse level stops at
-    ``tol`` or with a quarter of the budget left, since the coarse grid's
-    own floor can lie near a small ``tol``; the fine level gets the rest
-    (the full loop if the coarse level formed no Jacobian).  The wos
-    engine, and the fd engine when ``resolution // 2`` is below the
-    solver's minimum, run one level.  The last level polishes well below
-    the requested tolerance so the angles themselves are pinned down, and
-    the returned residual is its measurement.  One measure evaluation per
-    step, at most ``settings.max_sweeps`` over both levels, at least one
-    of them at ``resolution``.  Raises SolveError on non-convergence.
+    much, then at ``resolution`` from the coarse best psis.  The coarse
+    level stops at ``tol``, with a quarter of the budget left, or at its
+    first Newton step that does not improve, since the coarse grid's own
+    floor can lie near a small ``tol``; the fine level runs the same loop
+    with the rest, and stops early on such a step only once its best
+    residual meets ``tol``, so a failing solve spends the whole budget.  The wos engine, and the fd engine
+    when ``resolution // 2`` is below the solver's minimum, run one
+    level.  The last level polishes well below the requested tolerance so
+    the angles themselves are pinned down, and the returned residual is
+    its measurement.  One measure evaluation per step, at most
+    ``settings.max_sweeps`` over both levels, at least one of them at
+    ``resolution``.  Raises SolveError on non-convergence.
     """
     radii = np.array(steps.radii)
     jumps = steps.jumps
@@ -234,26 +203,25 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
         def measure(p):
             nonlocal tol_eff
             dom = CircleDomain.from_arrays(radii, np.append(p, math.pi))
-            m, dens, noise = _measure_arcs(dom, settings, len(trace) + 1,
-                                           resolution)
+            m, jac, noise = _measure_arcs(dom, settings, len(trace) + 1,
+                                          resolution)
             tol_eff = max(settings.tol, noise)
             cum = np.cumsum(m)
             sup = float(np.abs(targets - cum).max())
             trace.append((resolution if is_fd else None, sup))
-            return cum, dens, noise, sup
+            return cum, jac, noise, sup
         return measure
 
-    J = None
     fd_error = math.nan
     coarse = (is_fd and settings.resolution // 2 >= MIN_N_THETA
               and budget > 1)
     if coarse:
-        (_, psis, coarse_cum), J, _ = _solve_level(
+        (_, psis, coarse_cum), _ = _solve_level(
             measure_at(settings.resolution // 2), trace, targets, psis,
             settings.tol, budget - max(1, budget // 4), is_fd)
-    (sup, psis, _), _, fine_cum = _solve_level(
+    (sup, psis, _), fine_cum = _solve_level(
         measure_at(settings.resolution), trace, targets, psis,
-        0.2 * settings.tol, budget, is_fd, J)
+        0.2 * settings.tol, budget, is_fd, settings.tol)
     if coarse:
         # the fine level measures the coarse best psis first
         fd_error = float(np.abs(fine_cum - coarse_cum).max())
@@ -389,6 +357,7 @@ class StageReport:
     hdiff: float
     inversion_residual: float
     sweeps: int
+    fd_error: float  # SolveResult.fd_error of the inversion
     eval_radii: tuple[float, ...]
     h_values: tuple[float, ...]
     h_std_errors: tuple[float, ...]
@@ -462,7 +431,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
         stages.append(StageReport(
             n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
             sigma_n=sigma, hdiff=hd, inversion_residual=res.residual,
-            sweeps=res.sweeps, eval_radii=tuple(float(r) for r in rs),
+            sweeps=res.sweeps, fd_error=res.fd_error,
+            eval_radii=tuple(float(r) for r in rs),
             h_values=tuple(float(v) for v in hv),
             h_std_errors=tuple(float(s) for s in se),
             sup_gap=float(gaps[i]), sup_gap_se=float(se[i]),

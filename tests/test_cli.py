@@ -214,6 +214,27 @@ class TestInvertRoundTrip:
         assert abs(h2 - 1.0) <= 1e-6
 
 
+class TestConstructReport:
+    @pytest.mark.parametrize("resolution", ["14", "32"])
+    def test_strict_json_with_fd_error(self, files, resolution):
+        out = str(files["tmp"] / "rep.json")
+        r = run_cli(["construct", "--function", files["fn"], "--n", "2",
+                     "--resolution", resolution, "--tol", "3e-2",
+                     "--samples", "2000", "--out", out])
+        assert r.returncode == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        with open(out) as fh:
+            stage = json.load(fh, parse_constant=reject)["stages"][0]
+        fd_error = stage["fd_error"]
+        if resolution == "14":
+            assert fd_error is None  # one level: no grid-error estimate
+        else:
+            assert 0.0 < fd_error < 0.1
+
+
 class TestRender:
     def test_domain_svg_deterministic(self, files):
         o1 = str(files["tmp"] / "a.svg")

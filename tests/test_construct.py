@@ -77,20 +77,36 @@ class TestSolveCircleDomain:
         assert math.isnan(res.fd_error)
 
     def test_jump_ramp_fine_level_evaluations(self):
-        # the carried coarse Jacobian leaves the fine level a few
-        # Newton-Broyden steps on the hardest pipeline stage
+        # exact-Jacobian Newton steps leave the fine level a few
+        # evaluations on the hardest pipeline stage
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         res = solve_circle_domain(steps, SolveSettings(resolution=512))
         assert sum(1 for r, _ in res.trace if r == 512) <= 10
+        assert res.sweeps <= 25
         assert res.residual <= 0.2e-3
 
     def test_jump_ramp_tight_tolerance_converges(self):
-        # below the coarse grid's own floor the coarse level stops with a
-        # quarter of the budget left, and the fine level converges on it
+        # below the coarse grid's own floor the coarse level stops with at
+        # least a quarter of the budget left, and the fine level converges
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         res = solve_circle_domain(steps, SolveSettings(resolution=512, tol=2e-4))
         assert res.converged and res.residual <= 2e-4
-        assert sum(1 for r, _ in res.trace if r == 512) >= 60 // 4
+        assert sum(1 for r, _ in res.trace if r == 256) <= 60 - 60 // 4
+        # neither level cycles across a filler-count threshold to the end
+        # of its budget: each stops at its first non-improving Newton step
+        assert res.sweeps <= 30
+
+    def test_failed_solve_spends_the_whole_budget(self):
+        # every evaluation is one step, so a stalled solve stops at the
+        # budget, not short of it
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
+        try:
+            res = solve_circle_domain(steps, SolveSettings(resolution=128,
+                                                           max_sweeps=20))
+        except SolveError as err:
+            assert "after 20 measure evaluations" in str(err)
+        else:
+            assert res.converged and res.sweeps <= 20
 
     def test_warm_start_uniqueness(self):
         steps = StepH((1.0, 1.4, 2.0), (0.3, 0.65, 1.0))
@@ -203,6 +219,7 @@ class TestPipeline:
             assert st.sigma_n == 0
             assert st.beurling_ok
             assert st.inversion_residual <= 1e-3
+            assert 0.0 < st.fd_error < 1e-2
         assert rep.verdict == "PASS"
 
     def test_sigma_counts_small_arcs(self):

@@ -206,9 +206,44 @@ class TestFdSolver:
             vals.append(s.arc_measures()[0])
         assert abs(vals[1] - vals[0]) < 5e-3
 
-    def test_endpoint_density_positive(self):
-        s = FdSolver(CircleDomain.from_arrays([1.0, 2.0], [1.0, math.pi]), 256)
-        assert s.endpoint_density(0) > 0.0
+    # jump-ramp n = 16 inverted at resolution 256, rounded: 16 arcs about
+    # 0.1 rad apart, a few filler rays between neighbours
+    _JUMP_RAMP_16 = CircleDomain.from_arrays(
+        [1.0 + 0.0062 * k for k in range(17)],
+        [1.5131, 1.6092, 1.7045, 1.8013, 1.8992, 1.9975, 2.0959, 2.1941,
+         2.2959, 2.3963, 2.4974, 2.5990, 2.7015, 2.8050, 2.9097, 3.0168,
+         math.pi])
+
+    @pytest.mark.parametrize("resolution", [128, 256])
+    @pytest.mark.parametrize("name", ["circle", "jump_ramp_16"])
+    def test_arc_measure_jacobian_matches_centred_differences(
+            self, name, resolution):
+        dom = (self._MIRROR_CASES["circle"][0] if name == "circle"
+               else self._JUMP_RAMP_16)
+        radii, psis = dom.radii, dom.psis
+
+        def feature_rays(s):
+            # per-interval filler counts, read as the feature ray indices
+            feats = np.sort(np.append(s.domain.psis[:-1], [0.0, math.pi]))
+            return np.searchsorted(s.thetas, feats)
+
+        s = FdSolver(dom, resolution)
+        jac = s.arc_measure_jacobian()
+        n = dom.n_arcs
+        assert jac.shape == (n, n)
+        delta = 1e-7
+        for k in range(n):
+            sides = []
+            for sign in (1.0, -1.0):
+                p = psis.copy()
+                p[k] += sign * delta
+                s2 = FdSolver(CircleDomain.from_arrays(radii, p), resolution)
+                # one count interval: the derivative is that of one grid
+                assert np.array_equal(feature_rays(s2), feature_rays(s))
+                sides.append(s2.arc_measures())
+            central = (sides[0] - sides[1]) / (2.0 * delta)
+            assert np.abs(jac[:, k] - central).max() <= 1e-5
+        assert np.all(np.diag(jac) > 0.0)
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -216,12 +251,10 @@ class TestFdSolver:
 
     # Values of the full-circle grid solver this half-grid solver replaced,
     # at n_theta = 256: (domain, unknowns, arc_measures, gate_measures,
-    # outer_measure, h_table at _MIRROR_RADII, endpoint_density per proper
-    # arc or None).
+    # outer_measure, h_table at _MIRROR_RADII).
     _MIRROR_RADII = (0.9, 1.2, 1.5, 1.8, 2.0)
     _MIRROR_CASES = {
-        # arc 2 (half-arclength 0.01) is narrower than one grid cell, so
-        # its endpoint density is read on the axis ray itself
+        # arc 2 (half-arclength 0.01) is narrower than one grid cell
         "circle": (
             CircleDomain.from_arrays([1.0, 1.3, 1.7, 2.0],
                                      [0.9, 1.4, 0.01, math.pi]),
@@ -230,8 +263,7 @@ class TestFdSolver:
             [],
             0.3570191129335813,
             [0.0, 0.44532605054266516, 0.6429800359148746,
-             0.6429808870653596, 0.9999999999989406],
-            [0.23471294134098317, 0.16202454008517053, 5.550423640164991e-06]),
+             0.6429808870653596, 0.9999999999989406]),
         # gate 1 lies on the axis ray phi = 0
         "blocked": (
             BlockedCircleDomain(
@@ -242,8 +274,7 @@ class TestFdSolver:
             [0.00020045217192698962, 1.5165176511576077e-05],
             0.4184294112487023,
             [0.0, 0.5733385863179652, 0.5815564055281875,
-             0.5815674936837568, 0.9999999999998875],
-            [0.27199285443674703, 0.003411401643629526]),
+             0.5815674936837568, 0.9999999999998875]),
         "slit": (
             slit_disk(1.0, 1.5, 2.0),
             14820,
@@ -251,13 +282,12 @@ class TestFdSolver:
             [0.20139527127347154, 0.017560139958196393],
             0.7810445887684917,
             [0.0, 0.14908827440581848, 0.20139527127347154,
-             0.21638637634871769, 1.00000000000016],
-            [None, None]),
+             0.21638637634871769, 1.00000000000016]),
     }
 
     @pytest.mark.parametrize("name", sorted(_MIRROR_CASES))
     def test_mirror_half_grid_matches_full_circle(self, name):
-        dom, full_unknowns, arcs, gates, outer, h, dens = self._MIRROR_CASES[name]
+        dom, full_unknowns, arcs, gates, outer, h = self._MIRROR_CASES[name]
         s = FdSolver(dom, n_theta=256)
         tol = 1e-10
         assert np.abs(s.arc_measures() - arcs).max() <= tol
@@ -266,12 +296,6 @@ class TestFdSolver:
             assert np.abs(s.gate_measures() - gates).max() <= tol
         assert abs(s.outer_measure() - outer) <= tol
         assert np.abs(s.h_table(self._MIRROR_RADII) - h).max() <= tol
-        for k, expect in enumerate(dens):
-            if expect is None:
-                with pytest.raises(ValueError, match="no boundary nodes"):
-                    s.endpoint_density(k)
-            else:
-                assert abs(s.endpoint_density(k) - expect) <= tol
         # one node per mirror pair: about half the full-circle unknowns
         assert s.thetas[0] == 0.0 and s.thetas[-1] == math.pi
         assert s.n_unknowns < 0.51 * full_unknowns
