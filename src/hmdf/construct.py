@@ -14,9 +14,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from . import bounds, geometry, hfunction
-from .fd import MIN_N_THETA, FdSolver
+from .fd import MIN_N_THETA, FdSolver, count_cell
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
 from .potential import WosConfig, estimate_h, wos_exit_ensemble
@@ -121,36 +122,60 @@ def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int,
     return m, lambda: np.diag(dens), noise
 
 
-def _solve_level(measure, trace, targets, psis, stop, budget, is_fd,
-                 accept=math.inf):
+def _held_step(J, resid, psis, resolution):
+    """The Newton step that keeps every filler-ray count of the grid at
+    ``resolution`` and, within that, minimizes the sup norm of the
+    linearized residual: a linear program in the step and the bound t."""
+    n = len(psis)
+    D, lo, hi = count_cell(psis, resolution)
+    inset = 1e-6 * (hi - lo)  # stay strictly inside each count range
+    t = np.concatenate((-np.ones(2 * n), np.zeros(2 * n + 2)))
+    lp = linprog(np.append(np.zeros(n), 1.0),
+                 A_ub=np.column_stack((np.vstack((-J, J, D, -D)), t)),
+                 b_ub=np.concatenate((-resid, resid, hi - inset, -lo - inset)),
+                 bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+    if not lp.success:
+        raise np.linalg.LinAlgError(lp.message)
+    return lp.x[:n]
+
+
+def _solve_level(measure, trace, targets, psis, stop, budget, resolution):
     """One run of the inversion loop on one discretization.
 
     Damped sweeps, each arc stepped by its own cumulative residual over
     the matching diagonal entry of the Jacobian, bring the cumulative
-    measures close; below a residual of 0.02 the fd engine switches to
-    Newton steps, each with the exact Jacobian of the evaluation it starts
-    from, which resolve the inter-arc coupling the sweeps cannot.
-    ``measure(psis)`` returns ``(cum, jac, noise, sup)``, with ``jac()``
-    the per-arc measure Jacobian, and appends one entry to ``trace``; the
-    loop stops once the residual is at most ``max(stop, noise,
-    _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.  It also
-    stops after a Newton step that does not improve on the best residual
-    once that best is at most ``accept``: an exact step fails only where
-    it crosses a filler-count threshold of the grid, and from there the
-    steps cycle between the two sides.  Returns the best ``(sup, psis,
-    cum)`` seen and the cumulative measures of the first evaluation.
+    measures close; below a residual of 0.02 the fd engine (``resolution``
+    not None) switches to Newton steps, each with the exact Jacobian of
+    the evaluation it starts from, which resolve the inter-arc coupling
+    the sweeps cannot.  That Jacobian holds the grid's filler-ray counts
+    fixed, so a step across a count threshold can land past a jump it did
+    not foresee.  When a Newton step does not improve on the best
+    evaluation, the next two steps start from the best and from the failed
+    one, each held to its own counts (``_held_step``): they search the
+    smooth pieces on both sides of the jump.  Then free steps resume from
+    the latest evaluation.  ``measure(psis)`` returns ``(cum, jac, noise, sup)``, with
+    ``jac()`` the per-arc measure Jacobian, and appends one entry to
+    ``trace``; the loop stops once the residual is at most ``max(stop,
+    noise, _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.
+    Returns the best ``(sup, psis, cum)`` seen and the cumulative measures
+    of the first evaluation.
     """
     stop = max(stop, _SUP_FLOOR)
     cum, jac, noise, sup = measure(psis)
     first_cum = cum
-    best = (sup, psis.copy(), cum)
+    best = (sup, psis, cum, jac)
+    hold = []  # evaluations to step from next, each held to its counts
     while not (sup <= max(stop, noise) or len(trace) >= budget):
+        held = bool(hold)
+        if held:
+            sup, psis, cum, jac = hold.pop(0)
         resid = targets - cum
         J = np.cumsum(jac(), axis=0)  # of the cumulative measures
-        newton = is_fd and sup < 0.02
+        newton = resolution is not None and sup < 0.02
         if newton:
             try:
-                step = np.linalg.solve(J, resid)
+                step = (_held_step(J, resid, psis, resolution) if held
+                        else np.linalg.solve(J, resid))
             except np.linalg.LinAlgError:
                 step = resid / np.maximum(np.diag(J), 0.02)
             psis = np.clip(psis + np.clip(step, -0.3, 0.3), _PSI_MIN, _PSI_MAX)
@@ -159,10 +184,10 @@ def _solve_level(measure, trace, targets, psis, stop, budget, is_fd,
             psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
         cum, jac, noise, sup = measure(psis)
         if sup < best[0]:
-            best = (sup, psis.copy(), cum)
-        elif newton and best[0] <= accept:
-            break
-    return best, first_cum
+            best = (sup, psis, cum, jac)
+        elif newton and not held:
+            hold = [best, (sup, psis, cum, jac)]
+    return best[:3], first_cum
 
 
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
@@ -171,18 +196,18 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     The arc radii are the jump radii; the last jump radius is the outer
     circle.  The half-arclengths are found by ``_solve_level``: damped
     sweeps, then (fd engine) Newton steps with the exact Jacobian of each
-    evaluation.  The fd engine runs it coarse to fine: first at
-    ``resolution // 2``, where a factorization costs about a fifth as
-    much, then at ``resolution`` from the coarse best psis.  The coarse
-    level stops at ``tol``, with a quarter of the budget left, or at its
-    first Newton step that does not improve, since the coarse grid's own
-    floor can lie near a small ``tol``; the fine level runs the same loop
-    with the rest, and stops early on such a step only once its best
-    residual meets ``tol``, so a failing solve spends the whole budget.  The wos engine, and the fd engine
-    when ``resolution // 2`` is below the solver's minimum, run one
-    level.  The last level polishes well below the requested tolerance so
-    the angles themselves are pinned down, and the returned residual is
-    its measurement.  One measure evaluation per step, at most
+    evaluation, and steps held to the grid's filler-ray counts where a
+    step across a count threshold fails.  The fd engine runs it coarse to
+    fine: first at ``resolution // 2``, where a factorization costs about
+    a fifth as much, then at ``resolution`` from the coarse best psis.
+    The coarse level stops at ``tol`` or with a quarter of the budget
+    left, since the coarse grid's own floor can lie near a small ``tol``;
+    the fine level runs the same loop with the rest, so a failing solve
+    spends the whole budget.  The wos engine, and the fd engine when
+    ``resolution // 2`` is below the solver's minimum, run one level.
+    The last level polishes well below the requested tolerance so the
+    angles themselves are pinned down, and the returned residual is its
+    measurement.  One measure evaluation per step, at most
     ``settings.max_sweeps`` over both levels, at least one of them at
     ``resolution``.  Raises SolveError on non-convergence.
     """
@@ -199,7 +224,7 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     tol_eff = settings.tol
     trace = []
 
-    def measure_at(resolution):
+    def solve_at(resolution, psis, stop, budget):
         def measure(p):
             nonlocal tol_eff
             dom = CircleDomain.from_arrays(radii, np.append(p, math.pi))
@@ -210,18 +235,18 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
             sup = float(np.abs(targets - cum).max())
             trace.append((resolution if is_fd else None, sup))
             return cum, jac, noise, sup
-        return measure
+        return _solve_level(measure, trace, targets, psis, stop, budget,
+                            resolution if is_fd else None)
 
     fd_error = math.nan
     coarse = (is_fd and settings.resolution // 2 >= MIN_N_THETA
               and budget > 1)
     if coarse:
-        (_, psis, coarse_cum), _ = _solve_level(
-            measure_at(settings.resolution // 2), trace, targets, psis,
-            settings.tol, budget - max(1, budget // 4), is_fd)
-    (sup, psis, _), fine_cum = _solve_level(
-        measure_at(settings.resolution), trace, targets, psis,
-        0.2 * settings.tol, budget, is_fd, settings.tol)
+        (_, psis, coarse_cum), _ = solve_at(
+            settings.resolution // 2, psis, settings.tol,
+            budget - max(1, budget // 4))
+    (sup, psis, _), fine_cum = solve_at(settings.resolution, psis,
+                                        0.2 * settings.tol, budget)
     if coarse:
         # the fine level measures the coarse best psis first
         fd_error = float(np.abs(fine_cum - coarse_cum).max())

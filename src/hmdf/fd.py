@@ -10,7 +10,8 @@ a gap crosses a multiple of h its count changes and every filler ray of
 the interval jumps, and so does the measure (by up to 1.8e-3 at n_theta =
 256 on a 32-arc domain).  ``FdSolver.arc_measure_jacobian`` is the exact
 derivative of the measures at fixed counts, the derivative of the grid
-map actually solved.
+map actually solved, and ``count_cell`` bounds the changes of the arcs
+over which the counts stay fixed.
 
 Every circle-type domain is symmetric about the real axis, and so is the
 harmonic measure at the origin.  The grid therefore covers only the mirror
@@ -44,7 +45,7 @@ from scipy.sparse.linalg import splu
 from . import geometry
 from .geometry import ARC, GATE, KINDS, OUTER
 
-__all__ = ["FdSolver", "MIN_N_THETA"]
+__all__ = ["FdSolver", "MIN_N_THETA", "count_cell"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 _MATCH = 2e-9   # membership tolerance against merged rays / rings
@@ -76,6 +77,22 @@ def _angular_rays(d, n_theta: int):
     out.append(math.pi)
     t.append(0.0)
     return np.array(out), np.array(t)
+
+
+def count_cell(psis, n_theta: int):
+    """The smooth piece of a circle domain's measure map around ``psis``
+    (its half-arclengths, without the outer circle's): ``_angular_rays``
+    keeps every filler-ray count for a change ``s`` of them when
+    ``lo < D @ s <= hi``, where row i of ``D`` is the derivative of the
+    i-th gap between consecutive feature rays (0, sorted psis, pi).
+    Returns ``(D, lo, hi)``."""
+    n = len(psis)
+    order = np.argsort(psis)
+    D = (np.eye(n + 1, n) - np.eye(n + 1, n, -1)) @ np.eye(n)[order]
+    gaps = np.diff(np.concatenate(([0.0], psis[order], [math.pi])))
+    h = 2.0 * math.pi / n_theta
+    count = np.maximum(1, np.ceil(gaps / h))
+    return D, (count - 1) * h - gaps, count * h - gaps
 
 
 def _ring_radii(d, n_theta: int) -> np.ndarray:
@@ -308,11 +325,13 @@ class FdSolver:
         [i, k] = d m_i / d psi_k, at fixed filler-ray counts.
 
         Moving psi_k moves its own ray with speed 1 and the filler rays of
-        its two adjacent intervals with their fractions along them; moving
-        a ray shared by several features moves them all.  Only the angular
-        coefficients depend on the rays, so with w = -B^T y and A^T y =
-        e_origin, dw = -dB^T y + B^T A^{-T} (dA^T y): one transposed solve
-        with n right-hand sides on the factorization already in hand.
+        its two adjacent intervals with their fractions along them.  Arcs
+        whose psis coincide share one ray, so each of their columns is the
+        joint derivative for moving that ray, and the columns are equal
+        (the Jacobian is singular there).  Only the angular coefficients
+        depend on the rays, so with w = -B^T y and A^T y = e_origin, dw =
+        -dB^T y + B^T A^{-T} (dA^T y): one transposed solve with n
+        right-hand sides on the factorization already in hand.
         """
         psis, t = self._psis[:-1], self._ray_t
         # ray j lies at fraction t[j] between feature rays q[j] and q[j] + 1

@@ -92,9 +92,50 @@ class TestSolveCircleDomain:
         res = solve_circle_domain(steps, SolveSettings(resolution=512, tol=2e-4))
         assert res.converged and res.residual <= 2e-4
         assert sum(1 for r, _ in res.trace if r == 256) <= 60 - 60 // 4
-        # neither level cycles across a filler-count threshold to the end
-        # of its budget: each stops at its first non-improving Newton step
-        assert res.sweeps <= 30
+
+    @pytest.mark.parametrize("n, resolution, tol", [
+        (4, 64, 1e-3), (8, 128, 1e-3), (16, 512, 5e-5)])
+    def test_jump_ramp_root_past_a_count_threshold(self, n, resolution, tol):
+        # each smooth piece's own root lies past a filler-count threshold,
+        # so free Newton steps alternate across the jump; the steps held
+        # to the counts of either side reach tol against the threshold
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), n)
+        res = solve_circle_domain(steps, SolveSettings(resolution=resolution,
+                                                       tol=tol))
+        assert res.converged and res.residual <= tol
+
+    def test_jump_ramp_uniform_warm_start(self):
+        # every psi starts on one ray, where the arcs share one Jacobian
+        # column; the damped sweeps still separate them
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
+        res = solve_circle_domain(steps, SolveSettings(warm_start="uniform"))
+        assert res.converged and res.residual <= 0.2e-3
+
+    def test_held_step_keeps_the_filler_counts(self):
+        # the 256 solution linearized at 128: the free Newton step crosses
+        # a count threshold and overshoots the jump, the held step stays
+        # on the smooth piece, where its linear prediction holds
+        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 8)
+        targets = np.cumsum(steps.jumps)[:-1]
+        psis = solve_circle_domain(
+            steps, SolveSettings(resolution=256)).domain.psis[:-1]
+
+        def linearize(p):
+            s = FdSolver(CircleDomain.from_arrays(steps.radii,
+                                                  np.append(p, math.pi)), 128)
+            feats = np.sort(np.append(p, [0.0, math.pi]))
+            counts = np.diff(np.searchsorted(s.thetas, feats))
+            return (targets - np.cumsum(s.arc_measures()),
+                    np.cumsum(s.arc_measure_jacobian(), axis=0), counts)
+
+        resid, J, counts = linearize(psis)
+        free_resid, _, free_counts = linearize(psis + np.linalg.solve(J, resid))
+        assert not np.array_equal(free_counts, counts)
+        step = construct._held_step(J, resid, psis, 128)
+        held_resid, _, held_counts = linearize(psis + step)
+        assert np.array_equal(held_counts, counts)
+        assert np.abs(held_resid - (resid - J @ step)).max() <= 1e-5
+        assert np.abs(held_resid).max() < 0.6 * np.abs(free_resid).max()
 
     def test_failed_solve_spends_the_whole_budget(self):
         # every evaluation is one step, so a stalled solve stops at the

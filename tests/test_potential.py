@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from hmdf import geometry, potential
-from hmdf.fd import FdSolver
+from hmdf.fd import FdSolver, count_cell
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h, exact_slit_disk_gate,
@@ -244,6 +244,22 @@ class TestFdSolver:
             central = (sides[0] - sides[1]) / (2.0 * delta)
             assert np.abs(jac[:, k] - central).max() <= 1e-5
         assert np.all(np.diag(jac) > 0.0)
+
+    @pytest.mark.parametrize("resolution", [64, 128, 512])
+    def test_count_cell_matches_the_filler_counts(self, resolution):
+        dom = self._JUMP_RAMP_16
+        psis = dom.psis[:-1]
+        feats = np.sort(np.append(psis, [0.0, math.pi]))
+        counts = np.diff(np.searchsorted(FdSolver(dom, resolution).thetas,
+                                         feats))
+        D, lo, hi = count_cell(psis, resolution)
+        h = 2.0 * math.pi / resolution
+        assert np.array_equal(np.rint((np.diff(feats) + hi) / h), counts)
+        assert np.allclose(hi - lo, h) and np.all((lo < 0.0) & (0.0 <= hi))
+        # D maps a change of the psis to the change of the gaps
+        s = np.linspace(-1.0, 1.0, len(psis)) * 1e-3
+        moved = np.sort(np.append(psis + s, [0.0, math.pi]))
+        assert np.allclose(D @ s, np.diff(moved) - np.diff(feats), atol=1e-15)
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
