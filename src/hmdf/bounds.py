@@ -1,9 +1,13 @@
-"""Closed-form harmonic-measure estimates for channels, gates, and arcs.
+"""Closed-form harmonic-measure estimates for gates, arcs and the
+inset-angle schedule.
 
-Every function here is a pure evaluator of one of the quantitative bounds
-used by the construction pipeline: channel estimates, the gate-difference
-bound |h_X - h_Omega|, the arc-length lower bound, the chi ladder with its
-closed-form supremum, the m-thresholds, and the kappa inset-angle rule.
+Every public function here is a bound the construction pipeline
+evaluates: the gate-difference bound |h_X - h_Omega| (``hdiff_bound``,
+through ``gate_axis_bound`` for gates on the axis), the arc-length lower
+bound that each stage checks against its arcs, the closed-form chi
+supremum and its inverse (for the limit-uniformity diagnostics), the
+m-thresholds, and the kappa inset-angle rule.  The exceptions are
+``chi1`` and ``chi_p``: the chi ladder, whose supremum is ``chi_inf``.
 Vacuous bounds (> 1) are returned as-is; callers compare against the
 formulas verbatim.
 """
@@ -12,16 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import simpson
-
 from .geometry import BlockedCircleDomain
 
 __all__ = [
     "Thresholds",
-    "KappaReport",
-    "channel_bound_straight",
-    "channel_bound_curved",
     "gate_axis_bound",
     "hdiff_bound",
     "arc_lower_bound",
@@ -31,30 +29,7 @@ __all__ = [
     "chi_inf_inverse",
     "thresholds",
     "kappa",
-    "kappa_conditions_report",
 ]
-
-
-def channel_bound_straight(xs, widths) -> float:
-    """Harmonic measure through a straight channel of sampled width
-    profile: (8/pi) exp(-pi * integral dx / width(x)), Simpson rule."""
-    xs = np.asarray(xs, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    if np.any(widths <= 0):
-        raise ValueError("channel width must be positive")
-    if xs.size < 2 or xs[-1] == xs[0]:
-        return 8.0 / math.pi
-    integral = simpson(1.0 / widths, x=xs)
-    return (8.0 / math.pi) * math.exp(-math.pi * integral)
-
-
-def channel_bound_curved(r0: float, r1: float, b: float, theta0: float) -> float:
-    """Harmonic measure of a set at the bottom of an annular channel with
-    inner radius r0, outer radius r1, reaching from angle b to theta0:
-    (16/pi) exp(-pi r0 (theta0 - b) / (2 (r1 - r0)))."""
-    if not (0 < r0 < r1) or not (0 <= b <= theta0):
-        raise ValueError("need 0 < r0 < r1 and 0 <= b <= theta0")
-    return (16.0 / math.pi) * math.exp(-math.pi * r0 * (theta0 - b) / (2.0 * (r1 - r0)))
 
 
 def gate_axis_bound(r_k: float, r_k1: float) -> float:
@@ -68,7 +43,12 @@ def gate_axis_bound(r_k: float, r_k1: float) -> float:
 def hdiff_bound(d: BlockedCircleDomain) -> float:
     """Upper bound on sup_r |h_X(r) - h_Omega(r)| over all radii:
     curved-channel terms for inset gate pairs plus axis terms for gates on
-    the real axis.  May exceed 1 (vacuous) for weak insets."""
+    the real axis.  May exceed 1 (vacuous) for weak insets.
+
+    A gate at the bottom of the curved channel between radii r_k and
+    r_{k+1}, chi_k deep, carries at most the curved-channel estimate
+    (16/pi) exp(-pi r_k chi_k / (2 (r_{k+1} - r_k))).  A pair has one
+    such gate at each of +-phi_k, so its constant is 32/pi, twice 16/pi."""
     r = d.radii
     phi = d.phis
     chi = d.chis
@@ -204,43 +184,10 @@ def thresholds(alpha: float, beta: float) -> Thresholds:
 
 
 def kappa(n: int, mu: float, M: float) -> float:
-    """Inset-angle rule kappa_n = ((M - mu)/(mu n)) log n."""
+    """Inset-angle rule kappa_n = ((M - mu)/(mu n)) log n.
+
+    Under this rule the decay term n exp(-pi mu n kappa_n / (2 (M - mu)))
+    is n^(1 - pi/2) for every mu and M, so it and kappa_n tend to zero."""
     if n < 1:
         raise ValueError("need n >= 1")
     return (M - mu) / (mu * n) * math.log(n)
-
-
-@dataclass(frozen=True)
-class KappaReport:
-    ns: tuple[int, ...]
-    kappas: tuple[float, ...]
-    decay_terms: tuple[float, ...]  # n exp(-pi mu n kappa_n / (2 (M-mu)))
-    kappa_to_zero: bool
-    decay_to_zero: bool
-    monotone_from: int
-
-    @property
-    def ok(self) -> bool:
-        return self.kappa_to_zero and self.decay_to_zero
-
-
-def kappa_conditions_report(mu: float, M: float, n_max: int = 10 ** 6) -> KappaReport:
-    """Tabulate kappa_n and the decay sequence n exp(-pi mu n kappa_n /
-    (2(M-mu))) on a log-spaced sample up to n_max and confirm both tend
-    to zero, monotonically beyond a computed index."""
-    ns = sorted(set(int(x) for x in np.geomspace(1, n_max, 60)))
-    kaps = [kappa(n, mu, M) for n in ns]
-    # with the default rule the exponent collapses to n^(1 - pi/2)
-    decay = [n * math.exp(-math.pi * mu * n * kappa(n, mu, M) / (2.0 * (M - mu)))
-             for n in ns]
-    mono_from = 0
-    for i in range(len(ns) - 1, 0, -1):
-        if not (kaps[i] <= kaps[i - 1] and decay[i] <= decay[i - 1]):
-            mono_from = i
-            break
-    return KappaReport(
-        tuple(ns), tuple(kaps), tuple(decay),
-        kappa_to_zero=kaps[-1] < 1e-3 * kaps[mono_from] + 1e-12 or kaps[-1] < 1e-6,
-        decay_to_zero=decay[-1] < 1e-3 * max(decay) + 1e-12 or decay[-1] < 1e-3,
-        monotone_from=ns[mono_from],
-    )

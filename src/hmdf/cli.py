@@ -62,6 +62,8 @@ def load_domain(path: str):
             return BlockedCircleDomain(base, tuple(float(p) for p in data["gate_angles"]))
         if kind == "offcenter-disk":
             c = data["center"]
+            if len(c) != 2:
+                raise ValueError(f"center must be two numbers, got {c!r}")
             return OffCenterDisk(complex(c[0], c[1]), float(data["radius"]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed domain file ({exc})") from exc

@@ -380,6 +380,9 @@ class StageReport:
     kappa_n: float
     sigma_n: int
     hdiff: float
+    # Least psi_k - bounds.arc_lower_bound(beta_k, r_k, M) over the arcs
+    # with r_k >= M (1 - 1/e), beta_k the target jump; inf if none qualify.
+    arc_bound_margin: float
     inversion_residual: float
     sweeps: int
     fd_error: float  # SolveResult.fd_error of the inversion
@@ -422,9 +425,12 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
                  settings: SolveSettings = SolveSettings(),
                  verify_samples: int = 200_000) -> ConstructionReport:
     """Run the construction for each n: approximate f by steps, invert into
-    a circle domain, block the channels with the inset schedule, bound the
-    blocking error in closed form, and verify the realized h-function by
-    Monte Carlo against f and against the universal lower bound."""
+    a circle domain, check its arcs against the arc-length lower bound,
+    block the channels with the inset schedule, bound the blocking error in
+    closed form, and verify the realized h-function by Monte Carlo against
+    f and against the universal lower bound.  The verdict needs every
+    stage's arc-bound margin to be nonnegative: gates fit only into arcs
+    that long."""
     check = check_candidate(f)
     alpha = check.alpha
     stages = []
@@ -435,6 +441,11 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
         x = res.domain
         kap = bounds.kappa(n, f.mu, f.M)
         psis = x.psis[:-1]
+        lows = [(p, bounds.arc_lower_bound(b, r, x.outer_radius))
+                for r, p, b in zip(x.radii[:-1], psis, steps.jumps[:-1],
+                                   strict=True)]
+        arc_margin = min((float(p - lo) for p, lo in lows if lo is not None),
+                         default=math.inf)
         sigma = int(np.sum(psis <= kap))
         omega = build_blocked(x, kap)
         hd = bounds.hdiff_bound(omega)
@@ -455,7 +466,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
         ulc = tuple(ulc_diagnostics(omega, alpha))
         stages.append(StageReport(
             n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
-            sigma_n=sigma, hdiff=hd, inversion_residual=res.residual,
+            sigma_n=sigma, hdiff=hd, arc_bound_margin=arc_margin,
+            inversion_residual=res.residual,
             sweeps=res.sweeps, fd_error=res.fd_error,
             eval_radii=tuple(float(r) for r in rs),
             h_values=tuple(float(v) for v in hv),
@@ -469,7 +481,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     sigma_ok = stages[-1].sigma_n == 0 if stages else False
     ulc_ok = all(c.ok for st in stages for c in st.ulc)
     verdict = "PASS" if (check.ok and gaps_mono and sigma_ok and ulc_ok
-                         and all(st.beurling_ok for st in stages)) else "FAIL"
+                         and all(st.beurling_ok and st.arc_bound_margin >= 0.0
+                                 for st in stages)) else "FAIL"
     return ConstructionReport(check, tuple(stages), gaps_mono, sigma_ok,
                               ulc_ok, verdict)
 

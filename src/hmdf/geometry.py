@@ -22,7 +22,6 @@ __all__ = [
     "Arc",
     "CircleDomain",
     "BlockedCircleDomain",
-    "BoundaryFeature",
     "Domain",
     "NotInteriorError",
     "KINDS",
@@ -30,11 +29,9 @@ __all__ = [
     "GATE",
     "OUTER",
     "check_usable",
-    "distance_to_boundary",
     "nearest_boundary",
     "is_interior",
     "validate",
-    "eta",
     "theta",
 ]
 
@@ -112,7 +109,9 @@ class CircleDomain:
 
     @staticmethod
     def from_arrays(radii, psis) -> "CircleDomain":
-        return CircleDomain(tuple(Arc(float(r), float(p)) for r, p in zip(radii, psis)))
+        """Raises ValueError when ``radii`` and ``psis`` differ in length."""
+        return CircleDomain(tuple(Arc(float(r), float(p))
+                                  for r, p in zip(radii, psis, strict=True)))
 
     @staticmethod
     def disk(radius: float) -> "CircleDomain":
@@ -162,16 +161,6 @@ class BlockedCircleDomain:
 Domain = Union[CircleDomain, BlockedCircleDomain]
 
 
-@dataclass(frozen=True)
-class BoundaryFeature:
-    """A boundary component hit by a walk: which feature, and the modulus
-    of the feature point nearest the query."""
-
-    kind: str  # one of KINDS
-    index: int
-    modulus: float
-
-
 def validate(d: Domain) -> list[str]:
     """Check all structural invariants; returns violations, never raises.
 
@@ -206,8 +195,6 @@ def validate(d: Domain) -> list[str]:
                 out.append("gate angle negative")
             if np.any(phi > cap + 1e-15):
                 out.append("gate angle exceeds neighboring arcs; channel not blocked")
-    # Symmetry about the real axis is structural for these parametric
-    # classes; report it explicitly as the definition asks.
     return out
 
 
@@ -364,26 +351,8 @@ def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:
     return ok
 
 
-def distance_to_boundary(z: complex, d: Domain) -> tuple[float, BoundaryFeature]:
-    """Exact distance from an interior point to the nearest boundary feature."""
-    zz = np.array([z], dtype=complex)
-    if not bool(is_interior(zz, d)[0]):
-        raise NotInteriorError(f"point {z} is not interior to the domain")
-    dist, kind, idx, mod = nearest_boundary(zz, d)
-    return float(dist[0]), BoundaryFeature(KINDS[kind[0]], int(idx[0]), float(mod[0]))
-
-
 # ---------------------------------------------------------------------------
 # Channel-depth combinatorics.
-
-
-def eta(d: Domain, j: int, k: int) -> float:
-    """Depth of the shortest arc between arcs j and k:
-    min(psi_j, psi_k) - min over psi_l for j <= l <= k."""
-    psi = d.psis
-    if not (0 <= j < k <= len(psi) - 1):
-        raise IndexError(f"need 0 <= j < k <= n, got j={j}, k={k}")
-    return float(min(psi[j], psi[k]) - psi[j:k + 1].min())
 
 
 def theta(d: BlockedCircleDomain, j: int, k: int) -> float:

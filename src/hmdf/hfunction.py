@@ -23,7 +23,6 @@ __all__ = [
     "jump_at_mu",
     "step_approximation",
     "necessary_checks",
-    "inverse",
     "example_jump_ramp",
 ]
 
@@ -88,6 +87,8 @@ class StepH:
             raise ValueError("radii/values lengths inconsistent")
         if not all(math.isfinite(x) for x in (*self.radii, *self.values)):
             raise ValueError("radii and values must be finite")
+        if self.radii[0] <= 0:
+            raise ValueError("jump radii must be positive")
         if any(r2 <= r1 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ValueError("jump radii must be strictly increasing")
         vals = (0.0,) + self.values
@@ -193,36 +194,19 @@ def step_approximation(f: CandidateH, n: int) -> StepH:
     return StepH(tuple(radii_out), tuple(vals_out))
 
 
-def inverse(f: CandidateH, y: float) -> float:
-    """Continuous extension of the inverse of f restricted to [mu, M].
-
-    Requires f strictly increasing on [mu, M] (all segments linear with
-    strictly increasing values).  The jump at mu absorbs [0, f(mu)].
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("y must lie in [0, 1]")
-    if any(k != LINEAR for k in f.kinds) or any(
-            v2 <= v1 for v1, v2 in zip(f.values, f.values[1:])):
-        raise ValueError("f is not strictly increasing on [mu, M]")
-    if y <= f.values[0]:
-        return f.mu
-    return float(np.interp(y, f.values, f.breakpoints))
-
-
 @dataclass(frozen=True)
 class NecessaryReport:
     """Outcome of the necessary-condition checks on a candidate."""
 
     monotone: bool
     range_ok: bool
-    right_continuous: bool
     beurling_ok: bool
     first_violation: tuple[float, float, float] | None = None  # (r, f(r), bound)
     grid_size: int = 1024
 
     @property
     def ok(self) -> bool:
-        return self.monotone and self.range_ok and self.right_continuous and self.beurling_ok
+        return self.monotone and self.range_ok and self.beurling_ok
 
 
 def beurling_bound(mu: float, r: float) -> float:
@@ -234,8 +218,10 @@ def beurling_bound(mu: float, r: float) -> float:
 
 
 def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
-    """Verify monotonicity, range, right-continuity, and the Milloux/Beurling
-    lower bound for simply connected realizability, on a log grid of radii."""
+    """Verify monotonicity, range, and the Milloux/Beurling lower bound for
+    simply connected realizability, on a log grid of radii.  Right-continuity
+    is not checked: ``evaluate`` takes the right value at every breakpoint by
+    construction."""
     # Monotonicity and range are structural for CandidateH, but re-verify on
     # a sample in case of pathological float breakpoints.
     mu, M = f.mu, f.M
@@ -243,7 +229,6 @@ def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
     vals = _evaluate_grid(f, rs)
     monotone = bool(np.all(np.diff(vals) >= -1e-15))
     range_ok = bool(np.all((vals >= 0.0) & (vals <= 1.0)))
-    right_continuous = True  # structural: evaluate() uses the right value
     # Screen with the vectorized bound, which may differ from the scalar
     # one in the last bits, then decide each candidate radius in order with
     # the scalar bound.
@@ -255,8 +240,7 @@ def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
         if v < bound - 1e-12:
             first = (r, v, bound)
             break
-    return NecessaryReport(monotone, range_ok, right_continuous,
-                           first is None, first, grid_size)
+    return NecessaryReport(monotone, range_ok, first is None, first, grid_size)
 
 
 def example_jump_ramp(mu: float = 1.0, gap: float = 0.0992,

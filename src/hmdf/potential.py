@@ -16,7 +16,6 @@ import numpy as np
 
 from . import geometry
 from .geometry import BlockedCircleDomain, CircleDomain, NotInteriorError
-from .hfunction import beurling_bound
 
 __all__ = [
     "MeasureEstimate",
@@ -29,7 +28,6 @@ __all__ = [
     "feature_measures",
     "exact_offcenter_disk_h",
     "exact_slit_disk_gate",
-    "beurling_lower_bound",
 ]
 
 _BATCH = 1 << 15
@@ -273,10 +271,6 @@ def exact_slit_disk_gate(r_k: float, r_k1: float, M: float) -> float:
         return 0.0
     arg = (r_k1 - r_k) * (M * M - r_k1 * r_k) / (r_k * (r_k1 + M) ** 2)
     return (2.0 / math.pi) * math.atan(math.sqrt(arg))
-
-
-# The universal lower bound, listed with the other oracles.
-beurling_lower_bound = beurling_bound
 
 
 def slit_disk(r_k: float, r_k1: float, M: float) -> BlockedCircleDomain:

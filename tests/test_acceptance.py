@@ -19,8 +19,8 @@ from hmdf.construct import SolveSettings, solve_circle_domain
 from hmdf.fd import FdSolver
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.hfunction import StepH, example_jump_ramp
-from hmdf.potential import (OffCenterDisk, WosConfig, beurling_lower_bound,
-                            estimate_h, exact_offcenter_disk_h,
+from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
+                            exact_offcenter_disk_h,
                             exact_slit_disk_gate, feature_measures, slit_disk,
                             wos_exit_ensemble)
 
@@ -229,7 +229,7 @@ def test_criterion_7_analytic_identities():
             problems.append(f"chi ladder at delta={delta:.3e}")
     # the universal lower bound vanishes identically at r = mu
     for mu in (1.0, 2.5, 0.125):
-        if beurling_lower_bound(mu, mu) != 0.0:
+        if hfunction.beurling_bound(mu, mu) != 0.0:
             problems.append(f"beurling nonzero at mu={mu}")
     # gate depth <= arc depth + worst inset, in exact rational arithmetic
     rng = np.random.default_rng(2024)
@@ -260,7 +260,7 @@ def test_criterion_8_necessary_condition_gate(pipeline):
         for r, v, s in zip(st.eval_radii, st.h_values, st.h_std_errors):
             if r < mu:
                 continue
-            margin = v - (beurling_lower_bound(mu, r) - 3.0 * s)
+            margin = v - (hfunction.beurling_bound(mu, r) - 3.0 * s)
             worst = min(worst, margin)
             if margin < 0.0:
                 violations += 1

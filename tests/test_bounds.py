@@ -1,5 +1,6 @@
 """Closed-form bounds: threshold values, the chi ladder and its closed-form
-supremum, channel/gate estimates, and the inset-angle schedule."""
+supremum, gate estimates, the arc-length bound, and the inset-angle
+schedule."""
 import math
 
 import numpy as np
@@ -55,20 +56,13 @@ class TestChiLadder:
 
 
 class TestChannelAndGateBounds:
-    def test_straight_channel_zero_length(self):
-        assert bounds.channel_bound_straight([0.0], [1.0]) == pytest.approx(8 / math.pi)
-
-    def test_straight_channel_decreasing_in_length(self):
-        xs = np.linspace(0.0, 2.0, 101)
-        w = np.full_like(xs, 0.5)
-        v1 = bounds.channel_bound_straight(xs, w)
-        v2 = bounds.channel_bound_straight(xs[:51], w[:51])
-        assert v1 < v2
-        assert v1 == pytest.approx((8 / math.pi) * math.exp(-math.pi * 4.0), rel=1e-6)
-
     def test_curved_channel(self):
-        v = bounds.channel_bound_curved(1.0, 1.5, 0.2, 1.0)
-        assert v == pytest.approx((16 / math.pi) * math.exp(-math.pi * 0.8), rel=1e-12)
+        # one inset gate pair: twice the curved-channel estimate (16/pi)
+        # exp(-pi r0 chi / (2 (r1 - r0))) with r0 = 1, r1 = 1.5, chi = 0.8
+        base = CircleDomain.from_arrays([1.0, 1.5], [1.0, math.pi])
+        d = BlockedCircleDomain(base, (0.2,))
+        assert bounds.hdiff_bound(d) == pytest.approx(
+            2 * (16 / math.pi) * math.exp(-math.pi * 0.8), rel=1e-12)
 
     def test_gate_axis(self):
         assert bounds.gate_axis_bound(1.0, 2.0) == pytest.approx(2 / math.pi)
@@ -113,13 +107,6 @@ class TestKappa:
             term = n * math.exp(-math.pi * 1.0 * n * bounds.kappa(n, 1.0, 2.0)
                                 / (2.0 * (2.0 - 1.0)))
             assert term == pytest.approx(n ** (1.0 - math.pi / 2.0), rel=1e-9)
-
-    def test_report(self):
-        rep = bounds.kappa_conditions_report(1.0, 1.0992)
-        assert rep.ok
-        assert rep.kappas[-1] < 1e-5
-        assert rep.decay_terms[-1] < 1e-3
-        assert rep.monotone_from <= 3
 
 
 @settings(max_examples=60, deadline=None)

@@ -145,6 +145,31 @@ class TestExitCodes:
             assert r.returncode == 2
             assert "finite" in r.stderr
 
+    def test_malformed_domain_arrays_exit_two(self, tmp_path):
+        # a radius without its half-arclength, and a three-number center
+        short = {"radii": [1.0, 1.4, 2.0], "half_arclengths": [1.1, math.pi]}
+        for name, data in (
+                ("circle", {"kind": "circle", **short}),
+                ("blocked", {"kind": "blocked", **short, "gate_angles": [0.3]}),
+                ("disk", {"kind": "offcenter-disk", "center": [0.5, 0.0, 0.0],
+                          "radius": 1.0})):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(data))
+            r = run_cli(["compute", "--domain", str(p), "--radii", "1.5"])
+            assert r.returncode == 2, name
+            assert r.stderr.startswith("error:") and "malformed" in r.stderr
+            assert r.stdout == ""
+
+    def test_non_positive_jump_radius_exits_two(self, tmp_path):
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"kind": "step", "radii": [-0.5, 1.0],
+                                    "values": [0.5, 1.0]}))
+        for engine in ("wos", "fd"):
+            r = run_cli(["invert", "--function", str(step), "--engine", engine,
+                         "--out", str(tmp_path / "x.json")])
+            assert r.returncode == 2, engine
+            assert r.stderr.startswith("error:") and "positive" in r.stderr
+
     def test_bad_resolution_exits_two(self, files):
         for res in ("0", "-4"):
             r = run_cli(["compute", "--domain", files["dom"], "--engine", "fd",

@@ -1,5 +1,6 @@
 """Inversion of step targets, gate insertion, candidate certification, and
 the limit-uniformity diagnostics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -261,7 +262,31 @@ class TestPipeline:
             assert st.beurling_ok
             assert st.inversion_residual <= 1e-3
             assert 0.0 < st.fd_error < 1e-2
+            assert st.arc_bound_margin >= 0.8
         assert rep.verdict == "PASS"
+
+    def test_short_arc_fails_the_arc_bound(self, monkeypatch):
+        # the outermost proper arc cut to 0.2, below its arc-length lower
+        # bound of about 0.30; every other check still passes
+        solve = construct.solve_circle_domain
+
+        def short_outer_arc(steps, settings):
+            res = solve(steps, settings)
+            psis = res.domain.psis.copy()
+            psis[-2] = 0.2
+            return dataclasses.replace(res, domain=CircleDomain.from_arrays(
+                res.domain.radii, psis))
+
+        monkeypatch.setattr(construct, "solve_circle_domain", short_outer_arc)
+        f = hfunction.example_jump_ramp()
+        rep = construct.run_pipeline(f, n_list=(2,), verify_samples=20_000)
+        (st,) = rep.stages
+        lo = bounds.arc_lower_bound(0.25, st.circle.radii[1], f.M)
+        assert st.arc_bound_margin == pytest.approx(0.2 - lo)
+        assert st.arc_bound_margin < 0.0
+        assert (rep.check.ok and rep.gaps_nonincreasing and rep.sigma_vanishes
+                and rep.ulc_ok and st.beurling_ok)
+        assert rep.verdict == "FAIL"
 
     def test_sigma_counts_small_arcs(self):
         x = CircleDomain.from_arrays([1.0, 1.5, 2.0], [0.01, 1.0, math.pi])
@@ -271,6 +296,21 @@ class TestPipeline:
 
 
 class TestBoundaryProfile:
+    @pytest.mark.parametrize("f, rs", [
+        (hfunction.example_jump_ramp(), (1.0, 1.0496, 1.0992)),
+        (CandidateH((1.0, 1.4, 2.0), (0.2, 0.6, 1.0), (LINEAR, LINEAR)),
+         (1.0, 1.2, 1.4, 1.7, 2.0)),
+    ], ids=["jump-ramp", "two-ramps"])
+    def test_round_trip(self, f, rs):
+        # the point at angle pi f(r) has modulus r, and the jump at mu
+        # holds every angle up to pi f(mu) at mu
+        thetas, prof = construct.boundary_profile(f, n_theta=361).T
+        for r in rs:
+            i = np.argmin(np.abs(thetas - math.pi * hfunction.evaluate(f, r)))
+            assert prof[i] == pytest.approx(r)
+        jump = np.abs(thetas) <= math.pi * hfunction.evaluate(f, f.mu)
+        assert prof[jump] == pytest.approx(np.full(jump.sum(), f.mu))
+
     def test_endpoints(self):
         f = hfunction.example_jump_ramp()
         prof = construct.boundary_profile(f, n_theta=361)

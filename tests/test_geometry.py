@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hmdf import geometry
 from hmdf.geometry import (ARC, GATE, OUTER, Arc, BlockedCircleDomain,
                            CircleDomain, NotInteriorError)
-from hmdf.potential import slit_disk
+from hmdf.potential import slit_disk, wos_exit_ensemble
 
 
 def sample_boundary(dom, n_per_unit=200_000):
@@ -58,34 +58,38 @@ class TestNearestBoundary:
 
     def test_plain_disk(self):
         d = CircleDomain.disk(2.0)
-        dist, feat = geometry.distance_to_boundary(0.5 + 0.5j, d)
+        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
+            np.array([0.5 + 0.5j]), d)
         assert dist == pytest.approx(2.0 - abs(0.5 + 0.5j))
-        assert feat.kind == "outer-circle"
-        assert feat.modulus == 2.0
+        assert (kind, index, modulus) == (OUTER, 0, 2.0)
 
     def test_arc_endpoint_region(self):
         d = CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi])
         # point just beyond the arc endpoint: nearest is the endpoint
         z = 1.0 * np.exp(1j * 0.7)
-        dist, feat = geometry.distance_to_boundary(z, d)
+        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
+            np.array([z]), d)
         end = np.exp(1j * 0.5)
         assert dist == pytest.approx(abs(z - end))
-        assert feat.kind == "arc"
+        assert (kind, index, modulus) == (ARC, 0, 1.0)
 
     def test_gate_clamping(self, blocked_example):
         # point radially inside the gate span, near the +phi gate
         z = 1.2 * np.exp(1j * 0.35)
-        dist, feat = geometry.distance_to_boundary(z, blocked_example)
-        assert feat.kind == "gate"
-        assert feat.index == 0
-        # distance to infinite line through angle 0.3 at this radius
+        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
+            np.array([z]), blocked_example)
+        assert (kind, index) == (GATE, 0)
+        # distance to infinite line through angle 0.3 at this radius, from
+        # the gate point at the same radial coordinate
         assert dist == pytest.approx(1.2 * math.sin(0.05), abs=1e-12)
+        assert modulus == pytest.approx(1.2 * math.cos(0.05), abs=1e-12)
 
     def test_not_interior_raises(self, blocked_example):
-        with pytest.raises(NotInteriorError):
-            geometry.distance_to_boundary(5.0 + 0j, blocked_example)
-        with pytest.raises(NotInteriorError):
-            geometry.distance_to_boundary(1.0 + 0j, blocked_example)  # on arc
+        # outside the outer circle, and on arc 0
+        for z in (5.0 + 0j, 1.0 + 0j):
+            assert not geometry.is_interior(np.array([z]), blocked_example)[0]
+            with pytest.raises(NotInteriorError):
+                wos_exit_ensemble(blocked_example, z, 10)
 
     def test_pocket_excluded(self, blocked_example):
         # behind gate 0: radius in (1, 1.4), angle < 0.3
@@ -145,14 +149,12 @@ class TestEtaTheta:
         base = CircleDomain.from_arrays([1.0, 1.2, 1.5, 2.0],
                                         [1.0, 0.4, 0.8, math.pi])
         d = BlockedCircleDomain(base, (0.3, 0.35, 0.6))
-        # eta(0, 2) = min(1.0, 0.8) - min(1.0, 0.4, 0.8) = 0.4
-        assert geometry.eta(d, 0, 2) == pytest.approx(0.4)
         # theta(0, 2) = min(1.0, 0.8) - min(0.3, 0.35) = 0.5
         assert geometry.theta(d, 0, 2) == pytest.approx(0.5)
-        # adjacent pair: eta vanishes
-        assert geometry.eta(d, 1, 2) == pytest.approx(0.0)
+        # adjacent pair: the one gate between them
+        assert geometry.theta(d, 1, 2) == pytest.approx(0.4 - 0.35)
         with pytest.raises(IndexError):
-            geometry.eta(d, 2, 1)
+            geometry.theta(d, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def blocked_domains(draw):
     """Blocked domains with 1-16 arcs, some of them point arcs (psi = 0)
     and some gates on the axis (phi = 0)."""
     n = draw(st.integers(1, 16))
-    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n + 1, max_size=n + 1))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     radii = np.cumsum([0.5] + gaps)
     psis = [draw(st.just(0.0) | st.floats(0.01, math.pi - 0.01))
             for _ in range(n)] + [math.pi]

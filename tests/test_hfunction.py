@@ -1,5 +1,5 @@
 """Candidate h-functions: evaluation, secant slopes, step approximation,
-inversion, and the necessary-condition screen."""
+and the necessary-condition screen."""
 import math
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hmdf import hfunction
 from hmdf.hfunction import (CONSTANT, LINEAR, CandidateH, NecessaryReport,
                             StepH, beurling_bound, evaluate,
-                            example_jump_ramp, inverse, jump_at_mu,
+                            example_jump_ramp, jump_at_mu,
                             left_limit, minimal_secant_slope,
                             necessary_checks, step_approximation)
 
@@ -96,23 +96,9 @@ class TestStepH:
                      ((1.0, 2.0), (math.nan, 1.0))):
             with pytest.raises(ValueError, match="finite"):
                 StepH(r, v)
-
-
-class TestInverse:
-    def test_round_trip(self):
-        f = CandidateH((1.0, 1.4, 2.0), (0.2, 0.6, 1.0), (LINEAR, LINEAR))
-        for r in (1.0, 1.2, 1.4, 1.7, 2.0):
-            assert inverse(f, evaluate(f, r)) == pytest.approx(r)
-
-    def test_jump_absorbed(self):
-        f = example_jump_ramp()
-        assert inverse(f, 0.0) == f.mu
-        assert inverse(f, 0.5) == f.mu
-
-    def test_rejects_flat(self):
-        f = CandidateH((1.0, 1.5, 2.0), (0.3, 0.3, 1.0), (CONSTANT, LINEAR))
-        with pytest.raises(ValueError):
-            inverse(f, 0.5)
+        for r in ((0.0, 1.0), (-0.5, 1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                StepH(r, (0.5, 1.0))
 
 
 class TestNecessaryChecks:
@@ -202,7 +188,7 @@ def scalar_necessary_checks(f, grid_size=1024):
             break
     return NecessaryReport(bool(np.all(np.diff(vals) >= -1e-15)),
                            bool(np.all((vals >= 0.0) & (vals <= 1.0))),
-                           True, first is None, first, grid_size)
+                           first is None, first, grid_size)
 
 
 @settings(max_examples=80, deadline=None)
