@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from hmdf import geometry
 from hmdf.fd import FdSolver
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h, exact_slit_disk_gate,
@@ -36,7 +37,7 @@ def main() -> None:
     dom = slit_disk(1.0, 1.5, 2.0)
     ens = wos_exit_ensemble(dom, 0.0, args.samples,
                             WosConfig(seed=args.seed + 1))
-    on_slit = ens.kinds != 2
+    on_slit = ens.kinds != geometry.OUTER
     lo_half = on_slit & (ens.moduli <= 1.5 + 1e-6)
     n = ens.sample_count
     wos = np.array([lo_half.sum() / n, (on_slit & ~lo_half).sum() / n])

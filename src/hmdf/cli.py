@@ -354,7 +354,7 @@ def cmd_construct(args) -> int:
     for st in rep.stages:
         print(f"n={st.n}: sup-gap {st.sup_gap:.4f} (se {st.sup_gap_se:.4f}), "
               f"sigma_n={st.sigma_n}, hdiff bound {st.hdiff:.4f}, "
-              f"kappa_n {st.kappa_n:.5f}, {st.seconds:.1f}s")
+              f"kappa_n {st.kappa_n:.5f}")
     print(f"verdict: {rep.verdict}")
     if args.out:
         with open(args.out, "w") as fh:

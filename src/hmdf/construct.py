@@ -65,6 +65,11 @@ class SolveSettings:
                              f"expected one of {', '.join(ENGINES)}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        if self.warm_start not in ("proportional", "uniform"):
+            raise ValueError(f"unknown warm start {self.warm_start!r}; "
+                             "expected proportional or uniform")
 
 
 class SolveError(RuntimeError):
@@ -77,7 +82,6 @@ class SolveResult:
     residual: float
     sweeps: int
     converged: bool
-    engine: str
     tol_effective: float
     # Sup-norm gap between the fd measures at resolution and at
     # resolution // 2 at the same psis: the first-order scheme's error
@@ -89,37 +93,9 @@ class SolveResult:
 
 def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
     jumps = steps.jumps[:-1]
-    if mode == "uniform":
-        psis = np.full(len(jumps), math.pi / 3.0)
-    elif mode == "proportional":
-        psis = math.pi * jumps
-    else:
-        raise ValueError(f"unknown warm start {mode!r}")
+    psis = (np.full(len(jumps), math.pi / 3.0) if mode == "uniform"
+            else math.pi * jumps)
     return np.clip(psis, 1e-3, _PSI_MAX)
-
-
-def _measure_arcs(dom: CircleDomain, settings: SolveSettings, sweep: int,
-                  resolution: int):
-    """Per-arc measures, a zero-argument function returning their Jacobian
-    in the half-arclengths, and the sampling noise, for one evaluation.
-    The fd Jacobian is exact; the wos one is a diagonal of endpoint
-    density estimates."""
-    if settings.engine == "fd":
-        solver = FdSolver(dom, n_theta=resolution)
-        return solver.arc_measures(), solver.arc_measure_jacobian, 0.0
-    ens = wos_exit_ensemble(dom, 0.0, settings.wos_samples,
-                            WosConfig(epsilon=settings.epsilon,
-                                      seed=settings.seed + 7919 * sweep))
-    if ens.sample_count == 0:
-        raise RuntimeError(f"no walk reached the boundary: all "
-                           f"{ens.discard_count} walks were discarded")
-    m = np.zeros(dom.n_arcs)
-    arcs = ens.kinds == geometry.ARC
-    np.add.at(m, ens.indices[arcs], np.ones(arcs.sum()))
-    m /= ens.sample_count
-    dens = np.maximum(m / (2.0 * dom.psis[:-1]), 0.05)
-    noise = 3.0 * math.sqrt(0.25 / ens.sample_count)
-    return m, lambda: np.diag(dens), noise
 
 
 def _held_step(J, resid, psis, resolution):
@@ -139,121 +115,105 @@ def _held_step(J, resid, psis, resolution):
     return lp.x[:n]
 
 
-def _solve_level(measure, trace, targets, psis, stop, budget, resolution):
-    """One run of the inversion loop on one discretization.
+def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
+    """Find a circle domain whose h-function is the given step function:
+    the arc radii are the jump radii, the last one the outer circle.
 
-    Damped sweeps, each arc stepped by its own cumulative residual over
-    the matching diagonal entry of the Jacobian, bring the cumulative
-    measures close; below a residual of 0.02 the fd engine (``resolution``
-    not None) switches to Newton steps, each with the exact Jacobian of
-    the evaluation it starts from, which resolve the inter-arc coupling
+    Each step of the loop costs one measure evaluation.  Damped sweeps,
+    each arc stepped by its own cumulative residual over the matching
+    diagonal entry of the Jacobian, bring the cumulative measures close;
+    below a residual of 0.02 the fd engine takes Newton steps with the
+    exact Jacobian of each evaluation, which resolve the inter-arc coupling
     the sweeps cannot.  That Jacobian holds the grid's filler-ray counts
     fixed, so a step across a count threshold can land past a jump it did
-    not foresee.  When a Newton step does not improve on the best
+    not foresee: when a Newton step does not improve on the best
     evaluation, the next two steps start from the best and from the failed
-    one, each held to its own counts (``_held_step``): they search the
-    smooth pieces on both sides of the jump.  Then free steps resume from
-    the latest evaluation.  ``measure(psis)`` returns ``(cum, jac, noise, sup)``, with
-    ``jac()`` the per-arc measure Jacobian, and appends one entry to
-    ``trace``; the loop stops once the residual is at most ``max(stop,
-    noise, _SUP_FLOOR)`` or once ``trace`` holds ``budget`` entries.
-    Returns the best ``(sup, psis, cum)`` seen and the cumulative measures
-    of the first evaluation.
-    """
-    stop = max(stop, _SUP_FLOOR)
-    cum, jac, noise, sup = measure(psis)
-    first_cum = cum
-    best = (sup, psis, cum, jac)
-    hold = []  # evaluations to step from next, each held to its counts
-    while not (sup <= max(stop, noise) or len(trace) >= budget):
-        held = bool(hold)
-        if held:
-            sup, psis, cum, jac = hold.pop(0)
-        resid = targets - cum
-        J = np.cumsum(jac(), axis=0)  # of the cumulative measures
-        newton = resolution is not None and sup < 0.02
-        if newton:
-            try:
-                step = (_held_step(J, resid, psis, resolution) if held
-                        else np.linalg.solve(J, resid))
-            except np.linalg.LinAlgError:
-                step = resid / np.maximum(np.diag(J), 0.02)
-            psis = np.clip(psis + np.clip(step, -0.3, 0.3), _PSI_MIN, _PSI_MAX)
-        else:
-            step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.5, 0.5)
-            psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-        cum, jac, noise, sup = measure(psis)
-        if sup < best[0]:
-            best = (sup, psis, cum, jac)
-        elif newton and not held:
-            hold = [best, (sup, psis, cum, jac)]
-    return best[:3], first_cum
+    one, each held to its own counts (``_held_step``), and then free steps
+    resume.  The wos Jacobian is a diagonal of endpoint density estimates.
 
-
-def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
-    """Find a circle domain whose h-function is the given step function.
-
-    The arc radii are the jump radii; the last jump radius is the outer
-    circle.  The half-arclengths are found by ``_solve_level``: damped
-    sweeps, then (fd engine) Newton steps with the exact Jacobian of each
-    evaluation, and steps held to the grid's filler-ray counts where a
-    step across a count threshold fails.  The fd engine runs it coarse to
-    fine: first at ``resolution // 2``, where a factorization costs about
-    a fifth as much, then at ``resolution`` from the coarse best psis.
-    The coarse level stops at ``tol`` or with a quarter of the budget
-    left, since the coarse grid's own floor can lie near a small ``tol``;
-    the fine level runs the same loop with the rest, so a failing solve
-    spends the whole budget.  The wos engine, and the fd engine when
-    ``resolution // 2`` is below the solver's minimum, run one level.
-    The last level polishes well below the requested tolerance so the
-    angles themselves are pinned down, and the returned residual is its
-    measurement.  One measure evaluation per step, at most
-    ``settings.max_sweeps`` over both levels, at least one of them at
-    ``resolution``.  Raises SolveError on non-convergence.
+    The fd engine runs the loop coarse to fine: at ``resolution // 2``,
+    where a factorization costs about a fifth as much, until ``tol`` or a
+    quarter of the budget is left (the coarse grid's own floor can lie near
+    a small ``tol``), then at ``resolution`` from the coarse best psis with
+    the rest, so a failing solve spends the whole budget.  The wos engine,
+    and fd when ``resolution // 2`` is below the solver's minimum, run one
+    level.  The last level polishes to ``0.2 * tol`` to pin the angles
+    down; the returned residual is its best measurement.  Raises SolveError
+    on non-convergence.
     """
     radii = np.array(steps.radii)
-    jumps = steps.jumps
     n = len(radii) - 1  # proper arcs
+    tol, budget, res = settings.tol, settings.max_sweeps, settings.resolution
     if n == 0:
         return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, 0, True,
-                           settings.engine, settings.tol, math.nan, ())
-    targets = np.cumsum(jumps)[:-1]
-    psis = _initial_psis(steps, settings.warm_start)
-    is_fd = settings.engine == "fd"
-    budget = settings.max_sweeps
-    tol_eff = settings.tol
+                           tol, math.nan, ())
+    targets = np.cumsum(steps.jumps)[:-1]
     trace = []
 
-    def solve_at(resolution, psis, stop, budget):
-        def measure(p):
-            nonlocal tol_eff
-            dom = CircleDomain.from_arrays(radii, np.append(p, math.pi))
-            m, jac, noise = _measure_arcs(dom, settings, len(trace) + 1,
-                                          resolution)
-            tol_eff = max(settings.tol, noise)
-            cum = np.cumsum(m)
-            sup = float(np.abs(targets - cum).max())
-            trace.append((resolution if is_fd else None, sup))
-            return cum, jac, noise, sup
-        return _solve_level(measure, trace, targets, psis, stop, budget,
-                            resolution if is_fd else None)
+    def evaluate(psis, resolution):
+        """Cumulative measures, a zero-argument per-arc Jacobian, noise and
+        sup residual at ``psis``: fd at ``resolution``, wos when None."""
+        dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
+        if resolution is not None:
+            solver = FdSolver(dom, n_theta=resolution)
+            m, jac, noise = solver.arc_measures(), solver.arc_measure_jacobian, 0.0
+        else:
+            seed = settings.seed + 7919 * (len(trace) + 1)
+            ens = wos_exit_ensemble(dom, 0.0, settings.wos_samples,
+                                    WosConfig(epsilon=settings.epsilon, seed=seed))
+            if ens.sample_count == 0:
+                raise RuntimeError(f"no walk reached the boundary: all "
+                                   f"{ens.discard_count} walks were discarded")
+            arcs = ens.kinds == geometry.ARC
+            m = np.bincount(ens.indices[arcs], minlength=n) / ens.sample_count
+            dens = np.maximum(m / (2.0 * psis), 0.05)
+            noise = 3.0 * math.sqrt(0.25 / ens.sample_count)
+            jac = lambda: np.diag(dens)  # noqa: E731
+        cum = np.cumsum(m)
+        sup = float(np.abs(targets - cum).max())
+        trace.append((resolution, sup))
+        return cum, jac, noise, sup
 
-    fd_error = math.nan
-    coarse = (is_fd and settings.resolution // 2 >= MIN_N_THETA
-              and budget > 1)
-    if coarse:
-        (_, psis, coarse_cum), _ = solve_at(
-            settings.resolution // 2, psis, settings.tol,
-            budget - max(1, budget // 4))
-    (sup, psis, _), fine_cum = solve_at(settings.resolution, psis,
-                                        0.2 * settings.tol, budget)
-    if coarse:
-        # the fine level measures the coarse best psis first
-        fd_error = float(np.abs(fine_cum - coarse_cum).max())
+    fine = (res if settings.engine == "fd" else None, 0.2 * tol, budget)
+    levels = [fine]
+    if fine[0] is not None and res // 2 >= MIN_N_THETA and budget > 1:
+        levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
+    psis = _initial_psis(steps, settings.warm_start)
+    fd_error, best = math.nan, None
+    for resolution, stop, until in levels:
+        cum, jac, noise, sup = evaluate(psis, resolution)
+        if best is not None:  # the coarse best psis, measured on the fine grid
+            fd_error = float(np.abs(cum - best[2]).max())
+        best = (sup, psis, cum, jac)
+        hold = []  # evaluations to step from next, each held to its counts
+        while not (sup <= max(stop, noise, _SUP_FLOOR) or len(trace) >= until):
+            held = bool(hold)
+            if held:
+                sup, psis, cum, jac = hold.pop(0)
+            resid = targets - cum
+            J = np.cumsum(jac(), axis=0)  # of the cumulative measures
+            newton = resolution is not None and sup < 0.02
+            if newton:
+                try:
+                    step = (_held_step(J, resid, psis, resolution) if held
+                            else np.linalg.solve(J, resid))
+                except np.linalg.LinAlgError:
+                    step = resid / np.maximum(np.diag(J), 0.02)
+                psis = np.clip(psis + np.clip(step, -0.3, 0.3), _PSI_MIN, _PSI_MAX)
+            else:
+                step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.5, 0.5)
+                psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
+            cum, jac, noise, sup = evaluate(psis, resolution)
+            if sup < best[0]:
+                best = (sup, psis, cum, jac)
+            elif newton and not held:
+                hold = [best, (sup, psis, cum, jac)]
+        sup, psis = best[:2]
+    tol_eff = max(tol, noise)
     if sup <= tol_eff:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        return SolveResult(dom, sup, len(trace), True, settings.engine,
-                           tol_eff, fd_error, tuple(trace))
+        return SolveResult(dom, sup, len(trace), True, tol_eff, fd_error,
+                           tuple(trace))
     raise SolveError(
         f"inversion stalled after {len(trace)} measure evaluations: "
         f"residual {sup:.3e} > tolerance {tol_eff:.3e}")
@@ -455,7 +415,7 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
                                      seed=settings.seed + 104729 * n))
         hv = table.values
         se = table.std_errors
-        fv = np.array([hfunction.evaluate(f, float(r)) for r in rs])
+        fv = hfunction.evaluate(f, rs)
         gaps = np.abs(hv - fv)
         i = int(np.argmax(gaps))
         margins = []

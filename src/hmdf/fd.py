@@ -272,11 +272,9 @@ class FdSolver:
         self.dir_kind = np.empty(n_dir, dtype=np.int8)
         self.dir_index = np.empty(n_dir, dtype=np.int64)
         self.dir_radius = np.empty(n_dir)
-        self.dir_theta = np.empty(n_dir)
         self.dir_kind[order] = self._kind[di, dj]
         self.dir_index[order] = self._idx[di, dj]
         self.dir_radius[order] = rho[di]
-        self.dir_theta[order] = thetas[dj]
         self.weights = w
         self.weight_sum = float(w.sum())
         self.n_unknowns = n_unk

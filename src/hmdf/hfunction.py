@@ -106,34 +106,20 @@ class StepH:
         return np.diff(np.concatenate(([0.0], self.values)))
 
 
-def evaluate(f: CandidateH, r: float) -> float:
-    """f(r), honoring right-continuity at breakpoints."""
-    if r <= 0:
+def evaluate(f: CandidateH, r: float | np.ndarray) -> float | np.ndarray:
+    """f(r), honoring right-continuity at breakpoints: a float for a
+    scalar r, an array of the same shape for an array of radii."""
+    rs = np.asarray(r, dtype=float)
+    if not np.all(rs > 0):
         raise ValueError("radius must be positive")
-    b = f.breakpoints
-    if r < b[0]:
-        return 0.0
-    if r >= b[-1]:
-        return 1.0
-    i = bisect.bisect_right(b, r) - 1
-    if f.kinds[i] == CONSTANT:
-        return f.values[i]
-    t = (r - b[i]) / (b[i + 1] - b[i])
-    return f.values[i] + t * (f.values[i + 1] - f.values[i])
-
-
-def _evaluate_grid(f: CandidateH, rs: np.ndarray) -> np.ndarray:
-    """``evaluate`` at every radius of ``rs`` (all positive), with the same
-    floating-point operations."""
     b = np.asarray(f.breakpoints)
     v = np.asarray(f.values)
     i = np.clip(np.searchsorted(b, rs, side="right") - 1, 0, len(b) - 2)
     linear = np.array([k == LINEAR for k in f.kinds])[i]
     t = (rs - b[i]) / (b[i + 1] - b[i])
     out = np.where(linear, v[i] + t * (v[i + 1] - v[i]), v[i])
-    out[rs < b[0]] = 0.0
-    out[rs >= b[-1]] = 1.0
-    return out
+    out = np.where(rs < b[0], 0.0, np.where(rs >= b[-1], 1.0, out))
+    return float(out) if out.ndim == 0 else out
 
 
 def left_limit(f: CandidateH, i: int) -> float:
@@ -226,7 +212,7 @@ def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
     # a sample in case of pathological float breakpoints.
     mu, M = f.mu, f.M
     rs = np.geomspace(mu, M, grid_size + 1)[1:]
-    vals = _evaluate_grid(f, rs)
+    vals = evaluate(f, rs)
     monotone = bool(np.all(np.diff(vals) >= -1e-15))
     range_ok = bool(np.all((vals >= 0.0) & (vals <= 1.0)))
     # Screen with the vectorized bound, which may differ from the scalar

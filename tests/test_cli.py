@@ -1,6 +1,7 @@
 """CLI: file round trips, exit codes, deterministic outputs."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hmdf import cli
+from hmdf import cli, construct
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.hfunction import CandidateH, StepH
 from hmdf.potential import OffCenterDisk
@@ -258,6 +259,21 @@ class TestConstructReport:
             assert fd_error is None  # one level: no grid-error estimate
         else:
             assert 0.0 < fd_error < 0.1
+
+    def test_stdout_deterministic_under_any_clock(self, files):
+        # the stage wall time stays in the report, off seeded stdout
+        args = ["construct", "--function", files["fn"], "--n", "2",
+                "--resolution", "32", "--tol", "3e-2", "--samples", "2000"]
+        outs = []
+        for step in (1.0, 7.3):
+            clock = itertools.count(0.0, step)
+            buf = io.StringIO()
+            with mock.patch.object(construct.time, "perf_counter",
+                                   lambda: next(clock)), \
+                    contextlib.redirect_stdout(buf):
+                assert cli.main(args) == 0
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1] and "verdict" in outs[0]
 
 
 class TestRender:

@@ -170,6 +170,12 @@ class TestSolveCircleDomain:
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 SolveSettings(tol=tol)
+        # a budget of 0 would still spend one evaluation; a bad warm start
+        # would pass unseen on a one-jump target
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            SolveSettings(max_sweeps=0)
+        with pytest.raises(ValueError, match="unknown warm start 'foo'"):
+            SolveSettings(warm_start="foo")
 
     def test_all_walks_discarded_raises(self, monkeypatch):
         # a WoS measurement in which no walk reached the boundary must not

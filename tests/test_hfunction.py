@@ -1,5 +1,6 @@
 """Candidate h-functions: evaluation, secant slopes, step approximation,
 and the necessary-condition screen."""
+import bisect
 import math
 
 import numpy as np
@@ -36,6 +37,9 @@ class TestCandidateH:
         assert evaluate(f, 1.0 + 0.0496) == pytest.approx(0.75)
         assert evaluate(f, 1.0992) == 1.0
         assert evaluate(f, 5.0) == 1.0
+        for bad in (0.0, math.nan, np.array([1.0, -1.0])):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                evaluate(f, bad)
 
     def test_left_limit(self):
         f = CandidateH((1.0, 1.5, 2.0), (0.3, 0.3, 1.0), (CONSTANT, LINEAR))
@@ -173,6 +177,30 @@ def test_step_approximation_below_f(f, n):
     s = step_approximation(f, n)
     for r in np.linspace(f.mu, f.M, 37):
         assert s(float(r)) <= evaluate(f, float(r)) + 1e-12
+
+
+def reference_evaluate(f, r):
+    """Reference: f(r) by bisection, in Python floats."""
+    b = f.breakpoints
+    if r < b[0]:
+        return 0.0
+    if r >= b[-1]:
+        return 1.0
+    i = bisect.bisect_right(b, r) - 1
+    if f.kinds[i] == CONSTANT:
+        return f.values[i]
+    t = (r - b[i]) / (b[i + 1] - b[i])
+    return f.values[i] + t * (f.values[i + 1] - f.values[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidates(), st.lists(st.floats(0.1, 5.0), min_size=1, max_size=40))
+def test_evaluate_array_matches_scalar_calls(f, rs):
+    rs = np.array(rs + list(f.breakpoints))
+    scalars = [evaluate(f, float(r)) for r in rs]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == [reference_evaluate(f, float(r)) for r in rs]
+    assert evaluate(f, rs).tolist() == scalars
 
 
 def scalar_necessary_checks(f, grid_size=1024):
