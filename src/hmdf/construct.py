@@ -14,10 +14,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import bounds, geometry, hfunction
-from .fd import MIN_N_THETA, FdSolver, count_cell
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
 from .potential import WosConfig, estimate_h, wos_exit_ensemble
@@ -102,6 +100,10 @@ def _held_step(J, resid, psis, resolution):
     """The Newton step that keeps every filler-ray count of the grid at
     ``resolution`` and, within that, minimizes the sup norm of the
     linearized residual: a linear program in the step and the bound t."""
+    from scipy.optimize import linprog  # about 0.2 s to import; rarely needed
+
+    from .fd import count_cell
+
     n = len(psis)
     D, lo, hi = count_cell(psis, resolution)
     inset = 1e-6 * (hi - lo)  # stay strictly inside each count range
@@ -132,10 +134,10 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     resume.  The wos Jacobian is a diagonal of endpoint density estimates.
 
     The fd engine runs the loop coarse to fine: at ``resolution // 2``,
-    where a factorization costs about a fifth as much, until ``tol`` or a
-    quarter of the budget is left (the coarse grid's own floor can lie near
-    a small ``tol``), then at ``resolution`` from the coarse best psis with
-    the rest, so a failing solve spends the whole budget.  The wos engine,
+    where a factorization costs a quarter to a third as much, until ``tol``
+    or a quarter of the budget is left (the coarse grid's own floor can lie
+    near a small ``tol``), then at ``resolution`` from the coarse best psis
+    with the rest, so a failing solve spends the whole budget.  The wos engine,
     and fd when ``resolution // 2`` is below the solver's minimum, run one
     level.  The last level polishes to ``0.2 * tol`` to pin the angles
     down; the returned residual is its best measurement.  Raises SolveError
@@ -149,13 +151,19 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
                            tol, math.nan, ())
     targets = np.cumsum(steps.jumps)[:-1]
     trace = []
+    levels = [(res if settings.engine == "fd" else None, 0.2 * tol, budget)]
+    if settings.engine == "fd":
+        from . import fd  # scipy.sparse, which the wos engine never needs
+
+        if res // 2 >= fd.MIN_N_THETA and budget > 1:
+            levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
 
     def evaluate(psis, resolution):
         """Cumulative measures, a zero-argument per-arc Jacobian, noise and
         sup residual at ``psis``: fd at ``resolution``, wos when None."""
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
         if resolution is not None:
-            solver = FdSolver(dom, n_theta=resolution)
+            solver = fd.FdSolver(dom, n_theta=resolution)
             m, jac, noise = solver.arc_measures(), solver.arc_measure_jacobian, 0.0
         else:
             seed = settings.seed + 7919 * (len(trace) + 1)
@@ -174,10 +182,6 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
         trace.append((resolution, sup))
         return cum, jac, noise, sup
 
-    fine = (res if settings.engine == "fd" else None, 0.2 * tol, budget)
-    levels = [fine]
-    if fine[0] is not None and res // 2 >= MIN_N_THETA and budget > 1:
-        levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
     psis = _initial_psis(steps, settings.warm_start)
     fd_error, best = math.nan, None
     for resolution, stop, until in levels:

@@ -96,7 +96,7 @@ def test_criterion_3_oracle_triangle():
     dom = slit_disk(1.0, 1.5, 2.0)
     ens = wos_exit_ensemble(dom, 0.0, 1_000_000,
                             WosConfig(epsilon=1e-5, seed=102))
-    on_slit = ens.kinds != 2  # everything but the outer circle
+    on_slit = ens.kinds != geometry.OUTER
     lo_half = on_slit & (ens.moduli <= 1.5 + 1e-6)
     n = ens.sample_count
     wos = np.array([lo_half.sum() / n, (on_slit & ~lo_half).sum() / n])

@@ -1,13 +1,24 @@
 """Every script imports and every name a module exports exists, so a
-deletion that leaves a dangling import or ``__all__`` entry fails here."""
+deletion that leaves a dangling import or ``__all__`` entry fails here.
+SciPy loads only where an engine needs it, so commands that use neither
+the fd engine nor the held Newton step start without it."""
 import importlib
+import json
+import math
+import os
 import pathlib
 import pkgutil
 import runpy
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import hmdf
+from hmdf import construct, hfunction
+from hmdf.fd import FdSolver
+from hmdf.geometry import CircleDomain
 
 SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hmdf.__path__))
@@ -24,3 +35,47 @@ def test_exports_resolve(name):
     module = importlib.import_module(f"hmdf.{name}")
     assert [n for n in getattr(module, "__all__", ())
             if not hasattr(module, n)] == []
+
+
+def run_fresh(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this
+    package."""
+    src = pathlib.Path(hmdf.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("module, prefix", [("hmdf.cli", "scipy"),
+                                            ("hmdf.construct", "scipy.optimize")])
+def test_import_loads_no_scipy(module, prefix):
+    code = (f"import sys, {module}\n"
+            f"p = {prefix!r}\n"
+            "print([m for m in sys.modules if m == p or m.startswith(p + '.')])")
+    assert run_fresh(code) == "[]\n"
+
+
+def test_held_step_loads_the_lp_solver():
+    # the case of test_held_step_keeps_the_filler_counts: the 256 solution
+    # linearized at 128
+    steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 8)
+    psis = construct.solve_circle_domain(
+        steps, construct.SolveSettings(resolution=256)).domain.psis[:-1]
+    s = FdSolver(CircleDomain.from_arrays(steps.radii, np.append(psis, math.pi)), 128)
+    resid = np.cumsum(steps.jumps)[:-1] - np.cumsum(s.arc_measures())
+    J = np.cumsum(s.arc_measure_jacobian(), axis=0)
+    code = """\
+import json, sys
+import numpy as np
+from hmdf import construct
+J, resid, psis = (np.array(a) for a in json.loads(sys.argv[1]))
+before = "scipy.optimize" in sys.modules
+step = construct._held_step(J, resid, psis, 128)
+print(json.dumps([before, "scipy.optimize" in sys.modules, step.tolist()]))
+"""
+    before, after, step = json.loads(run_fresh(
+        code, json.dumps([J.tolist(), resid.tolist(), psis.tolist()])))
+    assert (before, after) == (False, True)
+    assert step == construct._held_step(J, resid, psis, 128).tolist()
