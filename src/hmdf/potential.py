@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -100,13 +101,16 @@ class WosConfig:
 @dataclass(frozen=True)
 class ExitEnsemble:
     """Terminal data of a WoS ensemble: per-walk nearest boundary feature
-    (kind code, index) and the modulus of its nearest point."""
+    (kind code, index) and the modulus of its nearest point.  ``steps``
+    counts the walk positions whose distance was taken, each walk's start
+    included."""
 
     kinds: np.ndarray
     indices: np.ndarray
     moduli: np.ndarray
     discard_count: int
     sample_count: int
+    steps: int = 0
 
 
 def _nearest(dom: WosDomain, z: np.ndarray):
@@ -124,6 +128,8 @@ def _nearest(dom: WosDomain, z: np.ndarray):
 
 
 def _check_interior(dom: WosDomain, z0: complex) -> None:
+    if not cmath.isfinite(z0):
+        raise NotInteriorError(f"{z0} not interior: not finite")
     if isinstance(dom, OffCenterDisk):
         if abs(z0 - dom.center) >= dom.radius:
             raise NotInteriorError(f"{z0} not interior to the disk")
@@ -139,8 +145,10 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
 
     Walks jump to a uniform point of the largest inscribed circle until
     they enter the epsilon shell; the nearest feature there is the exit.
-    Batches are seeded as (seed, batch_index) so results depend only on
-    (seed, n_samples), independent of any parallel scheduling.
+    Batches are seeded as (seed, batch_index) and each writes its own slice
+    of the result, so results depend only on (seed, n_samples): an ensemble
+    of several batches runs them on up to the usable cores, byte-identical
+    to one core.
     ``reflect`` negates every angular draw (domain symmetry tests).
     """
     if not (0.0 < config.epsilon < math.inf):
@@ -153,26 +161,30 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     indices = np.empty(n_samples, dtype=np.int64)
     moduli = np.empty(n_samples, dtype=float)
     done_mask = np.zeros(n_samples, dtype=bool)
-    discards = 0
     # Every walk starts at z0: one query serves the first step of all.
     start = _nearest(dom, np.full(1, complex(z0)))
-    for b_start in range(0, n_samples, _BATCH):
-        b = min(_BATCH, n_samples - b_start)
-        rng = np.random.default_rng([config.seed, b_start // _BATCH])
+
+    def walk(batch: int) -> tuple[int, int]:
+        """Walk one batch into its slice; return its discards and steps."""
+        lo = batch * _BATCH
+        b = min(_BATCH, n_samples - lo)
+        rng = np.random.default_rng([config.seed, batch])
         z = np.full(b, complex(z0))
         alive = np.arange(b)
+        steps = b
         for step in range(config.max_steps):
             if step:
                 dist, kk, ii, mm = _nearest(dom, z)
+                steps += z.size
             else:
                 dist, kk, ii, mm = (np.repeat(a, b) for a in start)
             hit = dist < eps_abs
             if hit.any():
-                sel = alive[hit]
-                kinds[b_start + sel] = kk[hit]
-                indices[b_start + sel] = ii[hit]
-                moduli[b_start + sel] = mm[hit]
-                done_mask[b_start + sel] = True
+                sel = lo + alive[hit]
+                kinds[sel] = kk[hit]
+                indices[sel] = ii[hit]
+                moduli[sel] = mm[hit]
+                done_mask[sel] = True
                 keep = ~hit
                 z = z[keep]
                 alive = alive[keep]
@@ -183,10 +195,43 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
             if reflect:
                 u = -u
             z = z + dist * np.exp(2j * math.pi * u)
-        discards += alive.size
+        return alive.size, steps
+
+    n_batches = -(-n_samples // _BATCH)
+    workers = min(n_batches, _usable_cores())
+    if workers == 1:
+        counts = [walk(i) for i in range(n_batches)]
+    else:
+        counts = _run_batches(walk, n_batches, workers)
     done = done_mask.sum()
     return ExitEnsemble(kinds[done_mask], indices[done_mask], moduli[done_mask],
-                        int(discards), int(done))
+                        int(sum(d for d, _ in counts)), int(done),
+                        int(sum(s for _, s in counts)))
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_batches(walk, n_batches: int, workers: int) -> list:
+    """``walk(i)`` for every batch ``i`` on ``workers`` threads, in batch
+    order.  NumPy releases the GIL in its array loops, so batches overlap.
+    The first error cancels the batches not yet started and is raised once
+    the running ones end; every thread is joined before this returns."""
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(walk, i) for i in range(n_batches)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for f in futures:
+        if not f.cancelled() and f.exception() is not None:
+            raise f.exception()
+    return [f.result() for f in futures]
 
 
 def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate]:

@@ -1,7 +1,8 @@
 """Every script imports and every name a module exports exists, so a
 deletion that leaves a dangling import or ``__all__`` entry fails here.
 SciPy loads only where an engine needs it, so commands that use neither
-the fd engine nor the held Newton step start without it."""
+the fd engine nor the held Newton step start without it, and a one-batch
+WoS ensemble starts no thread pool."""
 import importlib
 import json
 import math
@@ -55,6 +56,20 @@ def test_import_loads_no_scipy(module, prefix):
             f"p = {prefix!r}\n"
             "print([m for m in sys.modules if m == p or m.startswith(p + '.')])")
     assert run_fresh(code) == "[]\n"
+
+
+def test_one_batch_ensemble_starts_no_thread_pool():
+    # the benchmark's setup call: one batch walks inline, so a WoS-only
+    # process neither loads the pool module nor starts a thread
+    code = """\
+import sys, threading
+from hmdf.geometry import CircleDomain
+from hmdf.potential import WosConfig, wos_exit_ensemble
+d = CircleDomain.from_arrays([1.0, 1.5], [1.0, 3.141592653589793])
+wos_exit_ensemble(d, 0.0, 1000, WosConfig(seed=0))
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+    assert run_fresh(code) == "False 1\n"
 
 
 def test_held_step_loads_the_lp_solver():

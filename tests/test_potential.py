@@ -3,6 +3,9 @@ conformal oracles, an independent Poisson-kernel quadrature oracle, and the
 deterministic grid solver."""
 import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -114,23 +117,102 @@ class TestWos:
         assert np.array_equal(e1.kinds, e2.kinds)
         assert np.array_equal(e1.indices, e2.indices)
 
-    def test_golden_ensemble(self):
-        """Pins one seeded ensemble on a fixed 16-arc blocked domain, with
-        axis gates every third channel, to the bytes the full feature scan
-        gave (x86-64, NumPy 2.4): any change to a walk shows up here."""
+    @staticmethod
+    def _golden_digest(n_samples):
+        """Seeded ensemble on a fixed 16-arc blocked domain, with axis gates
+        every third channel: its counts and the digest of its bytes."""
         k = np.arange(16)
         radii = np.append(1.0 + 0.125 * k, 3.0)
         psis = np.append(0.2 + 2.6 * ((7 * k) % 16) / 15, math.pi)
         caps = np.minimum(psis[:-1], psis[1:])
         phis = tuple(0.0 if j % 3 == 0 else 0.5 * float(c) for j, c in enumerate(caps))
         dom = BlockedCircleDomain(CircleDomain.from_arrays(radii, psis), phis)
-        ens = wos_exit_ensemble(dom, 0.0, 10_000, WosConfig(seed=2012))
+        ens = wos_exit_ensemble(dom, 0.0, n_samples, WosConfig(seed=2012))
         digest = hashlib.sha256()
         for a in (ens.kinds, ens.indices, ens.moduli):
             digest.update(np.ascontiguousarray(a).tobytes())
-        assert (ens.sample_count, ens.discard_count) == (10_000, 0)
-        assert digest.hexdigest() == (
+        return ens.sample_count, ens.discard_count, digest.hexdigest()
+
+    def test_golden_ensemble(self):
+        """Pins one seeded one-batch ensemble to the bytes the full feature
+        scan gave (x86-64, NumPy 2.4): any change to a walk shows up here."""
+        assert self._golden_digest(10_000) == (
+            10_000, 0,
             "8f89accd801e9e37403337dbaac19f313b2927d609e9e3b5ed9f58d4b03ee6b2")
+
+    def test_golden_ensemble_of_three_batches(self):
+        """The same domain at three batches, pinned to the bytes of the
+        serial batch loop: the batch threads change no walk."""
+        n = 2 * potential._BATCH + 100
+        assert self._golden_digest(n) == (
+            n, 0,
+            "36a9bef45dc9a8f342401ea35d280ba62975652ac0882b3d3ea3b483cb2f01a5")
+
+    @pytest.mark.parametrize("max_steps, reflect", [
+        (10_000, False),
+        (4, False),  # about 70% of every batch's walks are discarded
+        (10_000, True)])
+    def test_batch_threads_match_one_core(self, monkeypatch, max_steps, reflect):
+        dom = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
+        n = 2 * potential._BATCH + 100
+        cfg = WosConfig(seed=3, max_steps=max_steps)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost write shows
+        try:
+            # one core, three threads (more than the cores of most test
+            # machines), and every usable core
+            for cores in ({0}, {0, 1, 2}, set(range(potential._usable_cores()))):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, c=cores: c, raising=False)
+                runs.append(wos_exit_ensemble(dom, 0.0, n, cfg, reflect=reflect))
+        finally:
+            sys.setswitchinterval(interval)
+        one = runs[0]
+        assert one.sample_count > 0 and (one.discard_count > 0) == (max_steps == 4)
+        for ens in runs[1:]:
+            for a, b in zip((one.kinds, one.indices, one.moduli),
+                            (ens.kinds, ens.indices, ens.moduli)):
+                assert a.tobytes() == b.tobytes()
+            assert ((ens.sample_count, ens.discard_count, ens.steps)
+                    == (one.sample_count, one.discard_count, one.steps))
+
+    def test_steps_count_every_distance_query(self, monkeypatch):
+        points = []
+        nearest = geometry.nearest_boundary
+
+        def recording(z, d):
+            points.append(z.size)
+            return nearest(z, d)
+
+        monkeypatch.setattr(geometry, "nearest_boundary", recording)
+        dom = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
+        n = 2 * potential._BATCH + 100
+        ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=5))
+        # the interior check and the shared start query take one point
+        # each; every walk's start is one step
+        assert points[:2] == [1, 1]
+        assert ens.steps == n + sum(points) - 2
+
+    def test_batch_error_propagates_and_joins_threads(self, monkeypatch):
+        calls = []
+        nearest = geometry.nearest_boundary
+
+        def failing(z, d):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:  # the first walk step of one batch
+                raise RuntimeError("batch failed")
+            return nearest(z, d)
+
+        monkeypatch.setattr(geometry, "nearest_boundary", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        dom = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch failed"):
+            wos_exit_ensemble(dom, 0.0, 4 * potential._BATCH, WosConfig(seed=5))
+        assert calls[2] is not threading.main_thread()
+        assert threading.active_count() == before
 
     def test_start_point_queried_once(self, monkeypatch):
         # every walk starts at z0, so one query serves all first steps
@@ -149,8 +231,11 @@ class TestWos:
         assert all(size == 1 for size, at_z0 in sizes if at_z0)
 
     def test_not_interior_rejected(self):
-        with pytest.raises(geometry.NotInteriorError):
-            wos_exit_ensemble(OffCenterDisk(0.5, 1.0), 2.0, 10)
+        # every comparison with NaN is false, so NaN is caught on its own
+        for dom in (OffCenterDisk(0.5, 1.0), CircleDomain.disk(1.0)):
+            for z0 in (2.0, complex(math.nan, 0.0), complex(0.0, math.inf)):
+                with pytest.raises(geometry.NotInteriorError):
+                    wos_exit_ensemble(dom, z0, 10)
 
     def test_no_estimate_without_walks(self):
         # one step never reaches the epsilon shell: every walk is discarded
