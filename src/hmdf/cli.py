@@ -2,16 +2,17 @@
 
 Subcommands:
   compute    tabulate the h-function of a domain (wos or fd engine)
-  invert     fit a circle domain to a step-function target
+  invert     fit a circle domain to a step-function target (fd engine)
   construct  run the full certification pipeline for a candidate
   check      fast threshold certification of a candidate (no solving)
   render     deterministic SVG drawing of a domain or candidate
 
 Exit codes: 0 success; 2 invalid input or usage; 3 engine error;
 4 solver non-convergence.  Verdicts (PASS/FAIL) are reported on stdout,
-not via the exit code.  Environment variables HMDF_ENGINE,
-HMDF_SAMPLES, HMDF_SEED, HMDF_EPS, HMDF_RESOLUTION, HMDF_TOL override the
-corresponding flag defaults.
+not via the exit code.  HMDF_<NAME> overrides the default of --<name>
+where a command takes it: HMDF_ENGINE reaches compute; HMDF_SAMPLES,
+HMDF_SEED and HMDF_EPS compute and construct; HMDF_RESOLUTION all three;
+HMDF_TOL invert and construct.  A malformed value exits 2 for any command.
 """
 from __future__ import annotations
 
@@ -228,38 +229,38 @@ def _env(name: str, cast, default, choices=None):
     return value
 
 
+ENGINES = ("wos", "fd")  # of compute; the other commands invert with fd
+_SHARED = {"samples": (int, 100_000), "eps": (float, 1e-5), "seed": (int, 0),
+           "resolution": (int, 512), "tol": (float, 1e-3)}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hmdf",
                                 description="Harmonic measure distribution "
                                             "functions of circle-type domains")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, engine=True):
-        if engine:
-            sp.add_argument("--engine", choices=construct.ENGINES,
-                            default=_env("ENGINE", str, "wos", construct.ENGINES))
-        sp.add_argument("--samples", type=int, default=_env("SAMPLES", int, 100_000))
-        sp.add_argument("--eps", type=float, default=_env("EPS", float, 1e-5))
-        sp.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-        sp.add_argument("--resolution", type=int, default=_env("RESOLUTION", int, 512))
+    def common(sp, *names):
+        for name in names:
+            cast, default = _SHARED[name]
+            sp.add_argument(f"--{name}", type=cast, default=_env(name.upper(), cast, default))
 
     sp = sub.add_parser("compute", help="tabulate h(r) for a domain")
     sp.add_argument("--domain", required=True)
-    common(sp)
+    sp.add_argument("--engine", choices=ENGINES, default=_env("ENGINE", str, "wos", ENGINES))
+    common(sp, "samples", "eps", "seed", "resolution")
     sp.add_argument("--radii", help="comma-separated evaluation radii")
     sp.add_argument("--grid", type=int, default=65, help="size of the default radius grid")
     sp.add_argument("--out")
 
     sp = sub.add_parser("invert", help="fit a circle domain to a step target")
     sp.add_argument("--function", required=True)
-    common(sp)
-    sp.add_argument("--tol", type=float, default=_env("TOL", float, 1e-3))
+    common(sp, "resolution", "tol")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("construct", help="run the certification pipeline")
     sp.add_argument("--function", required=True)
-    common(sp, engine=False)
-    sp.add_argument("--tol", type=float, default=_env("TOL", float, 1e-3))
+    common(sp, "samples", "eps", "seed", "resolution", "tol")
     sp.add_argument("--n", default="2,4,8,16", help="comma-separated approximation levels")
     sp.add_argument("--out")
 
@@ -312,15 +313,13 @@ def cmd_invert(args) -> int:
     f = load_function(args.function)
     if isinstance(f, CandidateH):
         raise InputError("invert expects a step function target")
-    settings = construct.SolveSettings(engine=args.engine, resolution=args.resolution,
-                                       tol=args.tol, wos_samples=args.samples,
-                                       epsilon=args.eps, seed=args.seed)
-    res = construct.solve_circle_domain(f, settings)
+    res = construct.solve_circle_domain(f, construct.SolveSettings(
+        resolution=args.resolution, tol=args.tol))
     dump_domain(res.domain, args.out)
     fd_error = (f", fd error {res.fd_error:.1e}" if math.isfinite(res.fd_error)
                 else "")
     print(f"converged in {res.sweeps} sweeps, residual {res.residual:.3e} "
-          f"(tolerance {res.tol_effective:.3e}){fd_error}")
+          f"(tolerance {args.tol:.3e}){fd_error}")
     return EXIT_OK
 
 

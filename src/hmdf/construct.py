@@ -18,7 +18,9 @@ import numpy as np
 from . import bounds, geometry, hfunction
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
-from .potential import WosConfig, estimate_h, wos_exit_ensemble
+from .potential import WosConfig, estimate_h
+# perfbench/spans.py rebinds this name when it traces; nothing here calls it
+from .potential import wos_exit_ensemble  # noqa: F401
 
 __all__ = [
     "SolveSettings",
@@ -41,26 +43,23 @@ _PSI_MAX = math.pi - 1e-4
 # Below this sup residual the measures move by rounding only (about 1e-15
 # at convergence), so further steps cannot improve the angles.
 _SUP_FLOOR = 1e-12
-ENGINES = ("wos", "fd")
 
 
 @dataclass(frozen=True)
 class SolveSettings:
     """Knobs for the inversion loop and the pipeline's measurements."""
 
-    engine: str = "fd"          # "fd" | "wos"
+    engine: str = "fd"          # the only inversion engine
     resolution: int = 512       # fd angular resolution
     tol: float = 1e-3           # sup-norm cumulative-measure tolerance
     max_sweeps: int = 60        # budget of measure evaluations
-    wos_samples: int = 200_000  # per wos measurement / sweep
-    epsilon: float = 1e-5
-    seed: int = 0
+    epsilon: float = 1e-5       # WoS verification of run_pipeline
+    seed: int = 0               # WoS verification of run_pipeline
     warm_start: str = "proportional"  # "proportional" | "uniform"
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"expected one of {', '.join(ENGINES)}")
+        if self.engine != "fd":
+            raise ValueError(f"unknown engine {self.engine!r}; expected fd")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_sweeps < 1:
@@ -80,13 +79,12 @@ class SolveResult:
     residual: float
     sweeps: int
     converged: bool
-    tol_effective: float
     # Sup-norm gap between the fd measures at resolution and at
     # resolution // 2 at the same psis: the first-order scheme's error
-    # estimate (Richardson).  NaN for the wos engine and one-level solves.
+    # estimate (Richardson).  NaN for one-level solves.
     fd_error: float
-    # (fd resolution or None for wos, sup residual) per measure evaluation.
-    trace: tuple[tuple[int | None, float], ...]
+    # (fd resolution, sup residual) per measure evaluation.
+    trace: tuple[tuple[int, float], ...]
 
 
 def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
@@ -121,82 +119,67 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     """Find a circle domain whose h-function is the given step function:
     the arc radii are the jump radii, the last one the outer circle.
 
-    Each step of the loop costs one measure evaluation.  Damped sweeps,
+    Each step of the loop costs one fd measure evaluation.  Damped sweeps,
     each arc stepped by its own cumulative residual over the matching
     diagonal entry of the Jacobian, bring the cumulative measures close;
-    below a residual of 0.02 the fd engine takes Newton steps with the
-    exact Jacobian of each evaluation, which resolve the inter-arc coupling
-    the sweeps cannot.  That Jacobian holds the grid's filler-ray counts
+    below a residual of 0.02 the loop takes Newton steps with the exact
+    Jacobian of each evaluation, which resolve the inter-arc coupling the
+    sweeps cannot.  That Jacobian holds the grid's filler-ray counts
     fixed, so a step across a count threshold can land past a jump it did
     not foresee: when a Newton step does not improve on the best
     evaluation, the next two steps start from the best and from the failed
     one, each held to its own counts (``_held_step``), and then free steps
-    resume.  The wos Jacobian is a diagonal of endpoint density estimates.
+    resume.
 
-    The fd engine runs the loop coarse to fine: at ``resolution // 2``,
-    where a factorization costs a quarter to a third as much, until ``tol``
-    or a quarter of the budget is left (the coarse grid's own floor can lie
+    The loop runs coarse to fine: at ``resolution // 2``, where a
+    factorization costs a quarter to a third as much, until ``tol`` or a
+    quarter of the budget is left (the coarse grid's own floor can lie
     near a small ``tol``), then at ``resolution`` from the coarse best psis
-    with the rest, so a failing solve spends the whole budget.  The wos engine,
-    and fd when ``resolution // 2`` is below the solver's minimum, run one
-    level.  The last level polishes to ``0.2 * tol`` to pin the angles
-    down; the returned residual is its best measurement.  Raises SolveError
-    on non-convergence.
+    with the rest, so a failing solve spends the whole budget.  When
+    ``resolution // 2`` is below the solver's minimum it runs one level.
+    The last level polishes to ``0.2 * tol`` to pin the angles down; the
+    returned residual is its best measurement.  Raises SolveError on
+    non-convergence.
     """
     radii = np.array(steps.radii)
     n = len(radii) - 1  # proper arcs
     tol, budget, res = settings.tol, settings.max_sweeps, settings.resolution
     if n == 0:
         return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, 0, True,
-                           tol, math.nan, ())
+                           math.nan, ())
+    from . import fd  # scipy.sparse, kept out of `import hmdf.construct`
+
     targets = np.cumsum(steps.jumps)[:-1]
     trace = []
-    levels = [(res if settings.engine == "fd" else None, 0.2 * tol, budget)]
-    if settings.engine == "fd":
-        from . import fd  # scipy.sparse, which the wos engine never needs
-
-        if res // 2 >= fd.MIN_N_THETA and budget > 1:
-            levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
+    levels = [(res, 0.2 * tol, budget)]
+    if res // 2 >= fd.MIN_N_THETA and budget > 1:
+        levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
 
     def evaluate(psis, resolution):
-        """Cumulative measures, a zero-argument per-arc Jacobian, noise and
-        sup residual at ``psis``: fd at ``resolution``, wos when None."""
+        """Cumulative measures, a zero-argument per-arc Jacobian and sup
+        residual at ``psis`` on the fd grid at ``resolution``."""
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        if resolution is not None:
-            solver = fd.FdSolver(dom, n_theta=resolution)
-            m, jac, noise = solver.arc_measures(), solver.arc_measure_jacobian, 0.0
-        else:
-            seed = settings.seed + 7919 * (len(trace) + 1)
-            ens = wos_exit_ensemble(dom, 0.0, settings.wos_samples,
-                                    WosConfig(epsilon=settings.epsilon, seed=seed))
-            if ens.sample_count == 0:
-                raise RuntimeError(f"no walk reached the boundary: all "
-                                   f"{ens.discard_count} walks were discarded")
-            arcs = ens.kinds == geometry.ARC
-            m = np.bincount(ens.indices[arcs], minlength=n) / ens.sample_count
-            dens = np.maximum(m / (2.0 * psis), 0.05)
-            noise = 3.0 * math.sqrt(0.25 / ens.sample_count)
-            jac = lambda: np.diag(dens)  # noqa: E731
-        cum = np.cumsum(m)
+        solver = fd.FdSolver(dom, n_theta=resolution)
+        cum = np.cumsum(solver.arc_measures())
         sup = float(np.abs(targets - cum).max())
         trace.append((resolution, sup))
-        return cum, jac, noise, sup
+        return cum, solver.arc_measure_jacobian, sup
 
     psis = _initial_psis(steps, settings.warm_start)
     fd_error, best = math.nan, None
     for resolution, stop, until in levels:
-        cum, jac, noise, sup = evaluate(psis, resolution)
+        cum, jac, sup = evaluate(psis, resolution)
         if best is not None:  # the coarse best psis, measured on the fine grid
             fd_error = float(np.abs(cum - best[2]).max())
         best = (sup, psis, cum, jac)
         hold = []  # evaluations to step from next, each held to its counts
-        while not (sup <= max(stop, noise, _SUP_FLOOR) or len(trace) >= until):
+        while not (sup <= max(stop, _SUP_FLOOR) or len(trace) >= until):
             held = bool(hold)
             if held:
                 sup, psis, cum, jac = hold.pop(0)
             resid = targets - cum
             J = np.cumsum(jac(), axis=0)  # of the cumulative measures
-            newton = resolution is not None and sup < 0.02
+            newton = sup < 0.02
             if newton:
                 try:
                     step = (_held_step(J, resid, psis, resolution) if held
@@ -207,20 +190,18 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
             else:
                 step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.5, 0.5)
                 psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-            cum, jac, noise, sup = evaluate(psis, resolution)
+            cum, jac, sup = evaluate(psis, resolution)
             if sup < best[0]:
                 best = (sup, psis, cum, jac)
             elif newton and not held:
                 hold = [best, (sup, psis, cum, jac)]
         sup, psis = best[:2]
-    tol_eff = max(tol, noise)
-    if sup <= tol_eff:
+    if sup <= tol:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        return SolveResult(dom, sup, len(trace), True, tol_eff, fd_error,
-                           tuple(trace))
+        return SolveResult(dom, sup, len(trace), True, fd_error, tuple(trace))
     raise SolveError(
         f"inversion stalled after {len(trace)} measure evaluations: "
-        f"residual {sup:.3e} > tolerance {tol_eff:.3e}")
+        f"residual {sup:.3e} > tolerance {tol:.3e}")
 
 
 def build_blocked(x: CircleDomain, kappa_n: float) -> BlockedCircleDomain:
@@ -395,6 +376,9 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     f and against the universal lower bound.  The verdict needs every
     stage's arc-bound margin to be nonnegative: gates fit only into arcs
     that long."""
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"approximation levels must be strictly increasing, "
+                         f"got {', '.join(map(str, n_list))}")
     check = check_candidate(f)
     alpha = check.alpha
     stages = []

@@ -1,5 +1,6 @@
 """CLI: file round trips, exit codes, deterministic outputs."""
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -165,11 +166,10 @@ class TestExitCodes:
         step = tmp_path / "step.json"
         step.write_text(json.dumps({"kind": "step", "radii": [-0.5, 1.0],
                                     "values": [0.5, 1.0]}))
-        for engine in ("wos", "fd"):
-            r = run_cli(["invert", "--function", str(step), "--engine", engine,
-                         "--out", str(tmp_path / "x.json")])
-            assert r.returncode == 2, engine
-            assert r.stderr.startswith("error:") and "positive" in r.stderr
+        r = run_cli(["invert", "--function", str(step),
+                     "--out", str(tmp_path / "x.json")])
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "positive" in r.stderr
 
     def test_bad_resolution_exits_two(self, files):
         for res in ("0", "-4"):
@@ -185,6 +185,14 @@ class TestExitCodes:
         assert r.stderr.startswith("error: HMDF_ENGINE='foo' is not one of")
         assert r.stdout == ""
 
+    def test_levels_not_increasing_exit_two(self, files):
+        for levels in ("4,2", "2,2"):
+            r = run_cli(["construct", "--function", files["fn"], "--n", levels])
+            assert r.returncode == 2, levels
+            assert r.stderr.startswith("error: approximation levels must be "
+                                       "strictly increasing")
+            assert r.stdout == ""
+
     def test_fd_on_offcenter_exits_three(self, tmp_path):
         p = tmp_path / "oc.json"
         p.write_text(json.dumps({"kind": "offcenter-disk",
@@ -193,7 +201,7 @@ class TestExitCodes:
         assert r.returncode == 3
 
     def test_nonconvergence_exits_four(self, files):
-        r = run_cli(["invert", "--function", files["step"], "--engine", "fd",
+        r = run_cli(["invert", "--function", files["step"],
                      "--tol", "1e-18", "--resolution", "96",
                      "--out", str(files["tmp"] / "x.json")])
         assert r.returncode == 4
@@ -228,8 +236,7 @@ class TestCompute:
 class TestInvertRoundTrip:
     def test_invert_then_compute(self, files):
         out = str(files["tmp"] / "sol.json")
-        r = run_cli(["invert", "--function", files["step"], "--engine", "fd",
-                     "--out", out])
+        r = run_cli(["invert", "--function", files["step"], "--out", out])
         assert r.returncode == 0
         r2 = run_cli(["compute", "--domain", out, "--engine", "fd",
                       "--radii", "1.0,2.0"])
@@ -238,6 +245,28 @@ class TestInvertRoundTrip:
         h2 = float(lines[2].split(",")[1])
         assert abs(h1 - 0.5) <= 1e-3
         assert abs(h2 - 1.0) <= 1e-6
+
+    def test_golden_fd_inversion(self, tmp_path):
+        # stdout and domain file of the fd inversion at resolution 256,
+        # frozen byte for byte
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"kind": "step", "radii": [1.0, 1.4, 2.0],
+                                    "values": [0.3, 0.65, 1.0]}))
+        out = tmp_path / "sol.json"
+        args = ["invert", "--function", str(step), "--resolution", "256",
+                "--out", str(out)]
+        r = run_cli(args)
+        assert r.returncode == 0
+        assert r.stdout == ("converged in 7 sweeps, residual 1.280e-05 "
+                            "(tolerance 1.000e-03), fd error 3.1e-03\n")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2c04aa8e2b3aa6b096690a7b47ee42015ef394edb9f4f72ab59cd637d4c153ef")
+        # invert reads no engine, walk count, walk epsilon or seed
+        for flag, value in (("--engine", "fd"), ("--samples", "10"),
+                            ("--eps", "1e-3"), ("--seed", "1")):
+            r = run_cli([*args, flag, value])
+            assert r.returncode == 2, flag
+            assert "unrecognized arguments" in r.stderr
 
 
 class TestConstructReport:
