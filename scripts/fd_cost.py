@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Per-layer cost of the finite-difference engine and of the inversion.
 
-Part 1 inverts the jump-ramp step approximations (n = 2, 4, 8, 16) and the
-ten criterion-5 targets (both warm starts) with the default settings and
-prints the measure evaluations each spends per level: at resolution // 2
-and at resolution.
+Part 1 inverts the jump-ramp step approximations (n = 2, 4, 8, 16, 32)
+with the default settings, and the ten criterion-5 targets from each warm
+start side by side, and prints the measure evaluations each spends per
+level: at resolution // 2 and at resolution.
 
 Part 2 rebuilds ``FdSolver`` on the jump-ramp solutions and prints the
 median time of each layer of one build: labelling (``_label``),
@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from hmdf import fd, hfunction
-from hmdf.construct import SolveError, SolveSettings, solve_circle_domain
+from hmdf.construct import (WARM_STARTS, SolveError, SolveSettings,
+                            solve_circle_domain)
 from hmdf.hfunction import StepH
 
 
@@ -126,13 +127,13 @@ def main() -> None:
     print(f"{'target':<28} {'coarse':>6} {'fine':>5} {'total':>6} "
           f"{'residual':>9} {'solve_s':>7}")
     ramp = {}
-    for n in (2, 4, 8, 16):
+    for n in (2, 4, 8, 16, 32):
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), n)
         res = evaluations(f"jump-ramp n={n}", steps, settings)
         if res is not None:
             ramp[n] = res.domain
     for i, steps in enumerate(criterion_5_targets()):
-        for mode in ("proportional", "uniform"):
+        for mode in WARM_STARTS:
             evaluations(f"criterion-5 #{i} {mode}", steps,
                         SolveSettings(resolution=args.resolution,
                                       warm_start=mode))

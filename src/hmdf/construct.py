@@ -23,6 +23,7 @@ from .potential import WosConfig, estimate_h
 from .potential import wos_exit_ensemble  # noqa: F401
 
 __all__ = [
+    "WARM_STARTS",
     "SolveSettings",
     "SolveResult",
     "SolveError",
@@ -38,6 +39,8 @@ __all__ = [
     "boundary_profile",
 ]
 
+# The values of SolveSettings.warm_start.
+WARM_STARTS = ("profile", "proportional", "uniform")
 _PSI_MIN = 1e-6
 _PSI_MAX = math.pi - 1e-4
 # Below this sup residual the measures move by rounding only (about 1e-15
@@ -47,7 +50,14 @@ _SUP_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Knobs for the inversion loop and the pipeline's measurements."""
+    """Knobs for the inversion loop and the pipeline's measurements.
+
+    ``warm_start`` picks the first half-arclengths: ``"profile"`` puts arc
+    k at pi F_k, F_k the step value after it, which is the angle at r_k of
+    the paper's limit boundary theta = pi f(r) (``boundary_profile``);
+    ``"proportional"`` at pi times its jump; ``"uniform"`` every arc at
+    pi/3.
+    """
 
     engine: str = "fd"          # the only inversion engine
     resolution: int = 512       # fd angular resolution
@@ -55,7 +65,7 @@ class SolveSettings:
     max_sweeps: int = 60        # budget of measure evaluations
     epsilon: float = 1e-5       # WoS verification of run_pipeline
     seed: int = 0               # WoS verification of run_pipeline
-    warm_start: str = "proportional"  # "proportional" | "uniform"
+    warm_start: str = "profile"  # see WARM_STARTS
 
     def __post_init__(self):
         if self.engine != "fd":
@@ -64,9 +74,9 @@ class SolveSettings:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
-        if self.warm_start not in ("proportional", "uniform"):
+        if self.warm_start not in WARM_STARTS:
             raise ValueError(f"unknown warm start {self.warm_start!r}; "
-                             "expected proportional or uniform")
+                             f"expected {', '.join(WARM_STARTS)}")
 
 
 class SolveError(RuntimeError):
@@ -88,9 +98,14 @@ class SolveResult:
 
 
 def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
-    jumps = steps.jumps[:-1]
-    psis = (np.full(len(jumps), math.pi / 3.0) if mode == "uniform"
-            else math.pi * jumps)
+    """The starting half-arclengths of the proper arcs for a
+    ``SolveSettings.warm_start`` mode."""
+    if mode == "profile":
+        psis = math.pi * np.array(steps.values[:-1])
+    elif mode == "proportional":
+        psis = math.pi * steps.jumps[:-1]
+    else:
+        psis = np.full(len(steps.values) - 1, math.pi / 3.0)
     return np.clip(psis, 1e-3, _PSI_MAX)
 
 
@@ -118,6 +133,11 @@ def _held_step(J, resid, psis, resolution):
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
     """Find a circle domain whose h-function is the given step function:
     the arc radii are the jump radii, the last one the outer circle.
+
+    The loop starts from ``settings.warm_start``.  The default, the limit
+    profile, lies close to the answer for fine step approximations: the
+    jump-ramp stages n = 2 to 16 converge in 5 evaluations each, and n = 32
+    and 64 reach ``tol`` (from the jump-proportional start n = 32 stalls).
 
     Each step of the loop costs one fd measure evaluation.  Damped sweeps,
     each arc stepped by its own cumulative residual over the matching

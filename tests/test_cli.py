@@ -248,18 +248,27 @@ class TestInvertRoundTrip:
 
     def test_golden_fd_inversion(self, tmp_path):
         # stdout and domain file of the fd inversion at resolution 256,
-        # frozen byte for byte
+        # frozen byte for byte, from the default (profile) start
+        radii, values = [1.0, 1.4, 2.0], [0.3, 0.65, 1.0]
         step = tmp_path / "step.json"
-        step.write_text(json.dumps({"kind": "step", "radii": [1.0, 1.4, 2.0],
-                                    "values": [0.3, 0.65, 1.0]}))
+        step.write_text(json.dumps({"kind": "step", "radii": radii,
+                                    "values": values}))
         out = tmp_path / "sol.json"
         args = ["invert", "--function", str(step), "--resolution", "256",
                 "--out", str(out)]
         r = run_cli(args)
         assert r.returncode == 0
-        assert r.stdout == ("converged in 7 sweeps, residual 1.280e-05 "
+        assert r.stdout == ("converged in 7 sweeps, residual 1.267e-05 "
                             "(tolerance 1.000e-03), fd error 3.1e-03\n")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7c96317c087cd56b022e6deb16ad419a75debb65b994a481152bdb97bb380412")
+        # the jump-proportional start still gives the bytes it always gave
+        old = tmp_path / "proportional.json"
+        res = construct.solve_circle_domain(
+            StepH(tuple(radii), tuple(values)),
+            construct.SolveSettings(resolution=256, warm_start="proportional"))
+        cli.dump_domain(res.domain, str(old))
+        assert hashlib.sha256(old.read_bytes()).hexdigest() == (
             "2c04aa8e2b3aa6b096690a7b47ee42015ef394edb9f4f72ab59cd637d4c153ef")
         # invert reads no engine, walk count, walk epsilon or seed
         for flag, value in (("--engine", "fd"), ("--samples", "10"),

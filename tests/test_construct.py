@@ -67,13 +67,26 @@ class TestSolveCircleDomain:
         assert math.isnan(res.fd_error)
 
     def test_jump_ramp_fine_level_evaluations(self):
-        # exact-Jacobian Newton steps leave the fine level a few
-        # evaluations on the hardest pipeline stage
+        # from the limit profile, exact-Jacobian Newton steps need only a
+        # few evaluations on the hardest stage of the default pipeline
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         res = solve_circle_domain(steps, SolveSettings(resolution=512))
-        assert sum(1 for r, _ in res.trace if r == 512) <= 10
-        assert res.sweeps <= 25
+        assert sum(1 for r, _ in res.trace if r == 512) <= 4
+        assert res.sweeps <= 8
         assert res.residual <= 0.2e-3
+
+    def test_warm_starts(self):
+        # pi F_k, pi times the jump, or pi/3, each clipped below pi
+        steps = StepH((1.0, 1.4, 1.7, 2.0), (0.3, 0.65, 0.99999, 1.0))
+        cap = math.pi - 1e-4
+        starts = {mode: construct._initial_psis(steps, mode)
+                  for mode in construct.WARM_STARTS}
+        np.testing.assert_allclose(starts["profile"],
+                                   [0.3 * math.pi, 0.65 * math.pi, cap])
+        np.testing.assert_allclose(starts["proportional"],
+                                   math.pi * np.array([0.3, 0.35, 0.34999]))
+        np.testing.assert_array_equal(starts["uniform"], np.full(3, math.pi / 3))
+        assert SolveSettings().warm_start == "profile"
 
     def test_jump_ramp_tight_tolerance_converges(self):
         # below the coarse grid's own floor the coarse level stops with at
@@ -165,7 +178,8 @@ class TestSolveCircleDomain:
         # would pass unseen on a one-jump target
         with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
             SolveSettings(max_sweeps=0)
-        with pytest.raises(ValueError, match="unknown warm start 'foo'"):
+        with pytest.raises(ValueError, match="unknown warm start 'foo'; "
+                           "expected profile, proportional, uniform"):
             SolveSettings(warm_start="foo")
 
 
@@ -248,6 +262,16 @@ class TestPipeline:
             assert st.arc_bound_margin >= 0.8
         assert rep.verdict == "PASS"
 
+    def test_jump_ramp_through_n_32(self):
+        # from the limit profile every stage converges at the default tol
+        # and budget; n = 32 stalled from the jump-proportional start
+        rep = construct.run_pipeline(hfunction.example_jump_ramp(),
+                                     n_list=(2, 4, 8, 16, 32))
+        assert rep.verdict == "PASS"
+        assert rep.stages[-1].sigma_n == 0
+        for a, b in zip(rep.stages, rep.stages[1:]):
+            assert b.sup_gap <= a.sup_gap + 3.0 * (a.sup_gap_se + b.sup_gap_se)
+
     def test_short_arc_fails_the_arc_bound(self, monkeypatch):
         # the outermost proper arc cut to 0.2, below its arc-length lower
         # bound of about 0.30; every other check still passes
@@ -302,6 +326,24 @@ class TestBoundaryProfile:
             assert prof[i] == pytest.approx(r)
         jump = np.abs(thetas) <= math.pi * hfunction.evaluate(f, f.mu)
         assert prof[jump] == pytest.approx(np.full(jump.sum(), f.mu))
+
+    @pytest.mark.parametrize("f", [
+        hfunction.example_jump_ramp(),
+        CandidateH((1.0, 1.4, 2.0), (0.2, 0.6, 1.0), (LINEAR, LINEAR)),
+    ], ids=["jump-ramp", "two-ramps"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_profile_start_lies_on_the_curve(self, f, n):
+        # the inversion's default start puts arc k at the profile's angle
+        # at r_k: where f strictly increases the curve passes through
+        # (psi_k, r_k)
+        steps = hfunction.step_approximation(f, n)
+        psis = construct._initial_psis(steps, "profile")
+        thetas, prof = construct.boundary_profile(f).T
+        ramp = np.array(steps.radii[:-1]) > f.mu  # past the jump at mu
+        assert ramp.sum() == n - 1
+        rs = np.interp(psis[ramp], thetas, prof)
+        np.testing.assert_allclose(rs, np.array(steps.radii[:-1])[ramp],
+                                   rtol=0, atol=1e-9)
 
     def test_endpoints(self):
         f = hfunction.example_jump_ramp()
