@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Per-layer cost of the finite-difference engine and of the inversion.
 
-Part 1 inverts the jump-ramp step approximations (n = 2, 4, 8, 16, 32)
-with the default settings, and the ten criterion-5 targets from each warm
-start side by side, and prints the measure evaluations each spends per
-level: at resolution // 2 and at resolution.
+Part 1 is the inversion survey.  It inverts the jump-ramp step
+approximations (n = 2 to 64) with the default settings; six cases whose
+roots lie near a filler-count threshold (n = 4 at resolution 64, n = 8 at
+128, n = 16 at 48, 96 and 192, and n = 16 at the full resolution with
+``tol`` 5e-5); and the ten criterion-5 targets from each warm start, at
+the full resolution and at half of it.  For each case it prints the
+measure evaluations spent per level (at resolution // 2 and at
+resolution) and in total, the residual the solve reports, the residual
+re-measured on a fresh grid, ``fd_error`` and the seconds, then one
+summary line: cases converged and total evaluations, counting a stalled
+case at its whole budget.
 
 Part 2 rebuilds ``FdSolver`` on the jump-ramp solutions and prints the
 median time of each layer of one build: labelling (``_label``),
@@ -13,7 +20,7 @@ assembly (the rest of the build: rays, rings, matrix assembly and the
 weight bookkeeping), and the on-demand arc-measure Jacobian, with the
 unknown count and the nonzeros of L + U (``lu.nnz``).
 
-    PYTHONPATH=src python3 scripts/fd_cost.py [--repeats N]
+    PYTHONPATH=src python3 scripts/fd_cost.py [--repeats N] [--resolution R]
 """
 import argparse
 import statistics
@@ -25,6 +32,8 @@ from hmdf import fd, hfunction
 from hmdf.construct import (WARM_STARTS, SolveError, SolveSettings,
                             solve_circle_domain)
 from hmdf.hfunction import StepH
+
+RAMP_N = (2, 4, 8, 16, 32, 64)  # jump-ramp stages at the default settings
 
 
 def criterion_5_targets() -> list[StepH]:
@@ -42,19 +51,41 @@ def criterion_5_targets() -> list[StepH]:
 
 
 def evaluations(name: str, steps: StepH, settings: SolveSettings):
-    """Print one target's evaluations per level; None if it stalled."""
+    """Print one case's row; return the result (None if it stalled) and
+    the evaluations spent."""
     t0 = time.perf_counter()
     try:
         res = solve_circle_domain(steps, settings)
     except SolveError as err:
-        print(f"{name:<28} {err}")
-        return None
+        print(f"{name:<32} {err}")
+        return None, settings.max_sweeps
     sec = time.perf_counter() - t0
+    solver = fd.FdSolver(res.domain, n_theta=settings.resolution)
+    fresh = np.abs(np.cumsum(solver.arc_measures())
+                   - np.array(steps.values[:-1])).max()
     levels = [r for r, _ in res.trace]
     fine = levels.count(settings.resolution)
-    print(f"{name:<28} {len(levels) - fine:>6} {fine:>5} {res.sweeps:>6} "
-          f"{res.residual:>9.2e} {sec:>7.2f}")
-    return res
+    print(f"{name:<32} {len(levels) - fine:>6} {fine:>5} {res.sweeps:>6} "
+          f"{res.residual:>9.2e} {fresh:>9.2e} {res.fd_error:>8.1e} {sec:>7.2f}")
+    return res, res.sweeps
+
+
+def survey_cases(resolution: int):
+    """(name, steps, settings) of every case of the inversion survey."""
+    ramp = hfunction.example_jump_ramp()
+    for n in RAMP_N:
+        yield (f"jump-ramp n={n}", hfunction.step_approximation(ramp, n),
+               SolveSettings(resolution=resolution))
+    for n, res, tol in ((4, 64, 1e-3), (8, 128, 1e-3), (16, 48, 1e-3),
+                        (16, 96, 1e-3), (16, 192, 1e-3), (16, resolution, 5e-5)):
+        yield (f"jump-ramp n={n} @{res} tol={tol:g}",
+               hfunction.step_approximation(ramp, n),
+               SolveSettings(resolution=res, tol=tol))
+    for res in (resolution, resolution // 2):
+        for i, steps in enumerate(criterion_5_targets()):
+            for mode in WARM_STARTS:
+                yield (f"criterion-5 #{i} @{res} {mode}", steps,
+                       SolveSettings(resolution=res, warm_start=mode))
 
 
 class _Timer:
@@ -120,24 +151,18 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--resolution", type=int, default=512)
     args = ap.parse_args()
-    settings = SolveSettings(resolution=args.resolution)
 
-    print(f"evaluations per level (resolution {args.resolution // 2} / "
-          f"{args.resolution})")
-    print(f"{'target':<28} {'coarse':>6} {'fine':>5} {'total':>6} "
-          f"{'residual':>9} {'solve_s':>7}")
-    ramp = {}
-    for n in (2, 4, 8, 16, 32):
-        steps = hfunction.step_approximation(hfunction.example_jump_ramp(), n)
-        res = evaluations(f"jump-ramp n={n}", steps, settings)
+    print("inversion survey: evaluations at resolution // 2 and at resolution")
+    print(f"{'case':<32} {'coarse':>6} {'fine':>5} {'total':>6} "
+          f"{'residual':>9} {'fresh':>9} {'fd_error':>8} {'solve_s':>7}")
+    solved, total, cases = {}, 0, 0
+    for name, steps, settings in survey_cases(args.resolution):
+        res, spent = evaluations(name, steps, settings)
+        cases += 1
+        total += spent
         if res is not None:
-            ramp[n] = res.domain
-    for i, steps in enumerate(criterion_5_targets()):
-        for mode in WARM_STARTS:
-            evaluations(f"criterion-5 #{i} {mode}", steps,
-                        SolveSettings(resolution=args.resolution,
-                                      warm_start=mode))
-
+            solved[name] = res.domain
+    print(f"survey: {len(solved)} of {cases} converged in {total} evaluations")
     print()
     print("FdSolver layers, median ms of one build")
     cols = ("label", "assemble", "factor", "solve", "build", "jacobian")
@@ -146,7 +171,10 @@ def main() -> None:
     timer = _Timer()
     restore = timer.install()
     try:
-        for n, dom in ramp.items():
+        for n in RAMP_N:
+            dom = solved.get(f"jump-ramp n={n}")
+            if dom is None:
+                continue
             for res in (args.resolution // 2, args.resolution):
                 rows = []
                 for _ in range(args.repeats):

@@ -320,6 +320,9 @@ def cmd_invert(args) -> int:
                 else "")
     print(f"converged in {res.sweeps} sweeps, residual {res.residual:.3e} "
           f"(tolerance {args.tol:.3e}){fd_error}")
+    if res.fd_error > args.tol:
+        print(f"note: fd error {res.fd_error:.1e} exceeds the tolerance; the "
+              f"residual is measured on the solve's own grid", file=sys.stderr)
     return EXIT_OK
 
 

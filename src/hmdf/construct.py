@@ -85,6 +85,10 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``residual`` is the sup-norm residual on the grid the solve ended
+    on, whose filler counts it froze; a fresh ``FdSolver(domain,
+    resolution)`` picks its own and can read up to ``fd_error`` off it."""
+
     domain: CircleDomain
     residual: float
     sweeps: int
@@ -109,47 +113,25 @@ def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
     return np.clip(psis, 1e-3, _PSI_MAX)
 
 
-def _held_step(J, resid, psis, resolution):
-    """The Newton step that keeps every filler-ray count of the grid at
-    ``resolution`` and, within that, minimizes the sup norm of the
-    linearized residual: a linear program in the step and the bound t."""
-    from scipy.optimize import linprog  # about 0.2 s to import; rarely needed
-
-    from .fd import count_cell
-
-    n = len(psis)
-    D, lo, hi = count_cell(psis, resolution)
-    inset = 1e-6 * (hi - lo)  # stay strictly inside each count range
-    t = np.concatenate((-np.ones(2 * n), np.zeros(2 * n + 2)))
-    lp = linprog(np.append(np.zeros(n), 1.0),
-                 A_ub=np.column_stack((np.vstack((-J, J, D, -D)), t)),
-                 b_ub=np.concatenate((-resid, resid, hi - inset, -lo - inset)),
-                 bounds=[(None, None)] * n + [(0.0, None)], method="highs")
-    if not lp.success:
-        raise np.linalg.LinAlgError(lp.message)
-    return lp.x[:n]
-
-
 def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings()) -> SolveResult:
     """Find a circle domain whose h-function is the given step function:
     the arc radii are the jump radii, the last one the outer circle.
 
     The loop starts from ``settings.warm_start``.  The default, the limit
     profile, lies close to the answer for fine step approximations: the
-    jump-ramp stages n = 2 to 16 converge in 5 evaluations each, and n = 32
-    and 64 reach ``tol`` (from the jump-proportional start n = 32 stalls).
+    jump-ramp stages n = 2 to 32 converge in 4 or 5 evaluations each, and
+    n = 64 in about 10.
 
     Each step of the loop costs one fd measure evaluation.  Damped sweeps,
     each arc stepped by its own cumulative residual over the matching
     diagonal entry of the Jacobian, bring the cumulative measures close;
     below a residual of 0.02 the loop takes Newton steps with the exact
     Jacobian of each evaluation, which resolve the inter-arc coupling the
-    sweeps cannot.  That Jacobian holds the grid's filler-ray counts
-    fixed, so a step across a count threshold can land past a jump it did
-    not foresee: when a Newton step does not improve on the best
-    evaluation, the next two steps start from the best and from the failed
-    one, each held to its own counts (``_held_step``), and then free steps
-    resume.
+    sweeps cannot.  Each level freezes the grid's filler-ray counts at its
+    first evaluation and keeps them until ``fd.filler_counts`` re-freezes
+    them (feature rays merged or separated, or a cell grown past 4 h), so
+    the map the loop inverts is smooth and that Jacobian is its exact
+    derivative.
 
     The loop runs coarse to fine: at ``resolution // 2``, where a
     factorization costs a quarter to a third as much, until ``tol`` or a
@@ -158,8 +140,8 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     with the rest, so a failing solve spends the whole budget.  When
     ``resolution // 2`` is below the solver's minimum it runs one level.
     The last level polishes to ``0.2 * tol`` to pin the angles down; the
-    returned residual is its best measurement.  Raises SolveError on
-    non-convergence.
+    returned residual is its best measurement, on that evaluation's frozen
+    grid.  Raises SolveError on non-convergence.
     """
     radii = np.array(steps.radii)
     n = len(radii) - 1  # proper arcs
@@ -175,46 +157,40 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     if res // 2 >= fd.MIN_N_THETA and budget > 1:
         levels.insert(0, (res // 2, tol, budget - max(1, budget // 4)))
 
-    def evaluate(psis, resolution):
-        """Cumulative measures, a zero-argument per-arc Jacobian and sup
-        residual at ``psis`` on the fd grid at ``resolution``."""
+    def evaluate(psis, resolution, counts):
+        """Cumulative measures, a zero-argument per-arc Jacobian, sup
+        residual and filler counts at ``psis`` on the fd grid at
+        ``resolution`` whose ``counts`` stay frozen while they fit."""
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        solver = fd.FdSolver(dom, n_theta=resolution)
+        solver = fd.FdSolver(dom, n_theta=resolution,
+                             counts=fd.filler_counts(dom, resolution, counts))
         cum = np.cumsum(solver.arc_measures())
         sup = float(np.abs(targets - cum).max())
         trace.append((resolution, sup))
-        return cum, solver.arc_measure_jacobian, sup
+        return cum, solver.arc_measure_jacobian, sup, solver.counts
 
     psis = _initial_psis(steps, settings.warm_start)
     fd_error, best = math.nan, None
     for resolution, stop, until in levels:
-        cum, jac, sup = evaluate(psis, resolution)
+        cum, jac, sup, counts = evaluate(psis, resolution, None)
         if best is not None:  # the coarse best psis, measured on the fine grid
             fd_error = float(np.abs(cum - best[2]).max())
-        best = (sup, psis, cum, jac)
-        hold = []  # evaluations to step from next, each held to its counts
+        best = (sup, psis, cum)
         while not (sup <= max(stop, _SUP_FLOOR) or len(trace) >= until):
-            held = bool(hold)
-            if held:
-                sup, psis, cum, jac = hold.pop(0)
             resid = targets - cum
             J = np.cumsum(jac(), axis=0)  # of the cumulative measures
-            newton = sup < 0.02
-            if newton:
+            if sup < 0.02:
                 try:
-                    step = (_held_step(J, resid, psis, resolution) if held
-                            else np.linalg.solve(J, resid))
+                    step = np.linalg.solve(J, resid)
                 except np.linalg.LinAlgError:
                     step = resid / np.maximum(np.diag(J), 0.02)
                 psis = np.clip(psis + np.clip(step, -0.3, 0.3), _PSI_MIN, _PSI_MAX)
             else:
                 step = np.clip(resid / np.maximum(np.diag(J), 0.02), -0.5, 0.5)
                 psis = np.clip(psis + 0.6 * step, _PSI_MIN, _PSI_MAX)
-            cum, jac, sup = evaluate(psis, resolution)
+            cum, jac, sup, counts = evaluate(psis, resolution, counts)
             if sup < best[0]:
-                best = (sup, psis, cum, jac)
-            elif newton and not held:
-                hold = [best, (sup, psis, cum, jac)]
+                best = (sup, psis, cum)
         sup, psis = best[:2]
     if sup <= tol:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))

@@ -2,16 +2,15 @@
 
 The solver discretizes the Laplacian in polar coordinates on a tensor-ish
 grid whose angular rays pass exactly through every arc endpoint and gate
-angle, and whose rings pass exactly through every arc radius.  Between two
-feature rays sit ceil(gap / h) - 1 evenly spaced filler rays, h = 2 pi /
-n_theta.  While those counts stay fixed, every ray moves smoothly with the
-feature angles and so does the computed harmonic measure of each arc; when
-a gap crosses a multiple of h its count changes and every filler ray of
-the interval jumps, and so does the measure (by up to 1.8e-3 at n_theta =
-256 on a 32-arc domain).  ``FdSolver.arc_measure_jacobian`` is the exact
-derivative of the measures at fixed counts, the derivative of the grid
-map actually solved, and ``count_cell`` bounds the changes of the arcs
-over which the counts stay fixed.
+angle, and whose rings pass exactly through every arc radius.  Each gap
+between two feature rays is cut into a filler count of equal cells,
+ceil(gap / h) by default, h = 2 pi / n_theta.  At fixed counts every ray,
+and the measure of each arc, moves smoothly with the feature angles; when
+a gap crosses a multiple of h its default count changes and the measure
+jumps (by up to 1.8e-3 at n_theta = 256 on a 32-arc domain).  So
+``FdSolver`` takes the counts as a keyword, ``filler_counts`` freezes
+them for an inversion, and ``FdSolver.arc_measure_jacobian`` is the exact
+derivative of the measures at the counts of the grid solved.
 
 Every circle-type domain is symmetric about the real axis, and so is the
 harmonic measure at the origin.  The grid therefore covers only the mirror
@@ -45,19 +44,19 @@ from scipy.sparse.linalg import splu
 from . import geometry
 from .geometry import ARC, GATE, KINDS, OUTER
 
-__all__ = ["FdSolver", "MIN_N_THETA", "count_cell"]
+__all__ = ["FdSolver", "MIN_N_THETA", "filler_counts"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 _MATCH = 2e-9   # membership tolerance against merged rays / rings
 MIN_N_THETA = 8  # coarsest usable angular resolution
+# Widest cell, in grid steps h, under a frozen count; with cells held to
+# [h/2, 3h/2] or [0, 2h] instead, jump-ramp n = 64 at 512 stalls at 3.8e-3.
+_MAX_CELL = 4.0
 
 
-def _angular_rays(d, n_theta: int):
-    """Half-circle angle list on [0, pi]: the required feature rays plus
-    uniform filler to spacing <= 2*pi/n_theta.
-
-    Returns the angles and, per ray, its fraction t along the interval
-    between the feature rays around it (t = 0 on the feature rays)."""
+def _feature_rays(d) -> list[float]:
+    """The sorted feature rays on [0, pi]: the axis rays, every arc
+    endpoint and gate angle, with rays closer than ``_MERGE`` merged."""
     req = {0.0, math.pi}
     for a in (*d.psis[:-1], *d.phis):
         if 0.0 < a < math.pi:
@@ -67,32 +66,43 @@ def _angular_rays(d, n_theta: int):
     for a in pos[1:]:
         if a - merged[-1] > _MERGE:
             merged.append(a)
+    return merged
+
+
+def filler_counts(d, n_theta: int, frozen=None) -> tuple[int, ...]:
+    """The cell count of each gap between the feature rays of ``d``: the
+    ``frozen`` counts while they fit (no feature rays merged or separated,
+    no cell wider than ``_MAX_CELL`` h), else the fresh ceil(gap / h)."""
+    gaps = np.diff(_feature_rays(d))
     h = 2.0 * math.pi / n_theta
+    if (frozen is not None and len(frozen) == len(gaps)
+            and np.all(gaps <= _MAX_CELL * h * np.asarray(frozen))):
+        return tuple(frozen)
+    return tuple(max(1, math.ceil(g / h)) for g in gaps)
+
+
+def _angular_rays(d, n_theta: int, counts=None):
+    """Half-circle angle list on [0, pi]: the feature rays plus even
+    filler, ``counts[i]`` cells in gap i (fresh ``filler_counts`` if None).
+
+    Returns the angles, per ray its fraction t along the interval between
+    the feature rays around it (t = 0 on them), and the counts."""
+    merged = _feature_rays(d)
+    if counts is None:
+        counts = filler_counts(d, n_theta)
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != len(merged) - 1 or min(counts) < 1:
+        raise ValueError(f"need one filler count >= 1 for each of the "
+                         f"{len(merged) - 1} gaps between feature rays, "
+                         f"got {counts}")
     out, t = [], []
-    for a, b in zip(merged, merged[1:]):
-        n_sub = max(1, math.ceil((b - a) / h))
+    for a, b, n_sub in zip(merged, merged[1:], counts):
         for s in range(n_sub):
             out.append(a + (b - a) * s / n_sub)
             t.append(s / n_sub)
     out.append(math.pi)
     t.append(0.0)
-    return np.array(out), np.array(t)
-
-
-def count_cell(psis, n_theta: int):
-    """The smooth piece of a circle domain's measure map around ``psis``
-    (its half-arclengths, without the outer circle's): ``_angular_rays``
-    keeps every filler-ray count for a change ``s`` of them when
-    ``lo < D @ s <= hi``, where row i of ``D`` is the derivative of the
-    i-th gap between consecutive feature rays (0, sorted psis, pi).
-    Returns ``(D, lo, hi)``."""
-    n = len(psis)
-    order = np.argsort(psis)
-    D = (np.eye(n + 1, n) - np.eye(n + 1, n, -1)) @ np.eye(n)[order]
-    gaps = np.diff(np.concatenate(([0.0], psis[order], [math.pi])))
-    h = 2.0 * math.pi / n_theta
-    count = np.maximum(1, np.ceil(gaps / h))
-    return D, (count - 1) * h - gaps, count * h - gaps
+    return np.array(out), np.array(t), counts
 
 
 def _ring_radii(d, n_theta: int) -> np.ndarray:
@@ -122,9 +132,11 @@ class FdSolver:
     Dirichlet node: the sum of the full-circle weights of the node and its
     mirror image (just its own weight on the axis rays 0 and pi), so
     feature sums and ``weight_sum`` cover the whole boundary.
+    ``counts`` (see ``filler_counts``) sets the cells of each gap between
+    feature rays; ``self.counts`` holds the counts used.
     """
 
-    def __init__(self, dom: geometry.Domain, n_theta: int = 512):
+    def __init__(self, dom: geometry.Domain, n_theta: int = 512, counts=None):
         self.n_theta = int(n_theta)
         if self.n_theta < MIN_N_THETA:
             raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
@@ -134,7 +146,8 @@ class FdSolver:
         self._radii = dom.radii
         self._psis = dom.psis
         self._phis = dom.phis
-        self.thetas, self._ray_t = _angular_rays(dom, self.n_theta)
+        self.thetas, self._ray_t, self.counts = _angular_rays(
+            dom, self.n_theta, counts)
         self.rho = _ring_radii(dom, self.n_theta)
         self._label()
         self._assemble_and_solve()

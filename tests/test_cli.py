@@ -258,24 +258,42 @@ class TestInvertRoundTrip:
                 "--out", str(out)]
         r = run_cli(args)
         assert r.returncode == 0
-        assert r.stdout == ("converged in 7 sweeps, residual 1.267e-05 "
-                            "(tolerance 1.000e-03), fd error 3.1e-03\n")
+        assert r.stdout == ("converged in 7 sweeps, residual 4.441e-06 "
+                            "(tolerance 1.000e-03), fd error 3.7e-03\n")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7c96317c087cd56b022e6deb16ad419a75debb65b994a481152bdb97bb380412")
-        # the jump-proportional start still gives the bytes it always gave
+            "5325e3a0bb9742cc0524fda1616799d858b97af1123a0710e2fe21abf1fcc417")
+        # the jump-proportional start, frozen the same way
         old = tmp_path / "proportional.json"
         res = construct.solve_circle_domain(
             StepH(tuple(radii), tuple(values)),
             construct.SolveSettings(resolution=256, warm_start="proportional"))
         cli.dump_domain(res.domain, str(old))
         assert hashlib.sha256(old.read_bytes()).hexdigest() == (
-            "2c04aa8e2b3aa6b096690a7b47ee42015ef394edb9f4f72ab59cd637d4c153ef")
+            "dc80ba71036245f684ec299abe6c430d4dc50c11308b6259b378acf6b0c6459b")
         # invert reads no engine, walk count, walk epsilon or seed
         for flag, value in (("--engine", "fd"), ("--samples", "10"),
                             ("--eps", "1e-3"), ("--seed", "1")):
             r = run_cli([*args, flag, value])
             assert r.returncode == 2, flag
             assert "unrecognized arguments" in r.stderr
+
+
+    def test_fd_error_above_tol_noted(self, tmp_path):
+        # a converged solve whose grid error exceeds tol says so on stderr;
+        # stdout and the exit code stay those of a converged solve
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"kind": "step", "radii": [1.0, 1.4, 2.0],
+                                    "values": [0.3, 0.65, 1.0]}))
+        r = run_cli(["invert", "--function", str(step), "--resolution", "64",
+                     "--out", str(tmp_path / "sol.json")])
+        assert r.returncode == 0
+        assert r.stdout.startswith("converged in ")
+        assert r.stdout.endswith(", fd error 1.7e-02\n")
+        assert r.stderr == ("note: fd error 1.7e-02 exceeds the tolerance; the "
+                            "residual is measured on the solve's own grid\n")
+        r = run_cli(["invert", "--function", str(step), "--resolution", "64",
+                     "--tol", "0.05", "--out", str(tmp_path / "sol.json")])
+        assert r.returncode == 0 and r.stderr == ""
 
 
 class TestConstructReport:

@@ -1,11 +1,10 @@
 """Every script imports and every name a module exports exists, so a
 deletion that leaves a dangling import or ``__all__`` entry fails here.
-SciPy loads only where an engine needs it, so commands that use neither
-the fd engine nor the held Newton step start without it, and a one-batch
-WoS ensemble starts no thread pool."""
+SciPy loads only where an engine needs it, so commands that do not use
+the fd engine start without it, an inversion loads no more of it than
+the fd engine's sparse solver, and a one-batch WoS ensemble starts no
+thread pool."""
 import importlib
-import json
-import math
 import os
 import pathlib
 import pkgutil
@@ -13,13 +12,9 @@ import runpy
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import hmdf
-from hmdf import construct, hfunction
-from hmdf.fd import FdSolver
-from hmdf.geometry import CircleDomain
 
 SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hmdf.__path__))
@@ -49,13 +44,24 @@ def run_fresh(code, *args):
     return out.stdout
 
 
-@pytest.mark.parametrize("module, prefix", [("hmdf.cli", "scipy"),
-                                            ("hmdf.construct", "scipy.optimize")])
+@pytest.mark.parametrize("module, prefix", [("hmdf.cli", "scipy")])
 def test_import_loads_no_scipy(module, prefix):
     code = (f"import sys, {module}\n"
             f"p = {prefix!r}\n"
             "print([m for m in sys.modules if m == p or m.startswith(p + '.')])")
     assert run_fresh(code) == "[]\n"
+
+
+def test_inversion_loads_no_optimizer():
+    # jump-ramp n = 4 at 64 crosses filler-count thresholds on its way in
+    code = """\
+import sys
+from hmdf import construct, hfunction
+steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 4)
+res = construct.solve_circle_domain(steps, construct.SolveSettings(resolution=64))
+print(res.converged, [m for m in sys.modules if m.startswith("scipy.optimize")])
+"""
+    assert run_fresh(code) == "True []\n"
 
 
 def test_one_batch_ensemble_starts_no_thread_pool():
@@ -70,27 +76,3 @@ wos_exit_ensemble(d, 0.0, 1000, WosConfig(seed=0))
 print("concurrent.futures" in sys.modules, threading.active_count())
 """
     assert run_fresh(code) == "False 1\n"
-
-
-def test_held_step_loads_the_lp_solver():
-    # the case of test_held_step_keeps_the_filler_counts: the 256 solution
-    # linearized at 128
-    steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 8)
-    psis = construct.solve_circle_domain(
-        steps, construct.SolveSettings(resolution=256)).domain.psis[:-1]
-    s = FdSolver(CircleDomain.from_arrays(steps.radii, np.append(psis, math.pi)), 128)
-    resid = np.cumsum(steps.jumps)[:-1] - np.cumsum(s.arc_measures())
-    J = np.cumsum(s.arc_measure_jacobian(), axis=0)
-    code = """\
-import json, sys
-import numpy as np
-from hmdf import construct
-J, resid, psis = (np.array(a) for a in json.loads(sys.argv[1]))
-before = "scipy.optimize" in sys.modules
-step = construct._held_step(J, resid, psis, 128)
-print(json.dumps([before, "scipy.optimize" in sys.modules, step.tolist()]))
-"""
-    before, after, step = json.loads(run_fresh(
-        code, json.dumps([J.tolist(), resid.tolist(), psis.tolist()])))
-    assert (before, after) == (False, True)
-    assert step == construct._held_step(J, resid, psis, 128).tolist()

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from hmdf import geometry, potential
-from hmdf.fd import FdSolver, count_cell
+from hmdf.fd import FdSolver, filler_counts
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h, exact_slit_disk_gate,
@@ -330,21 +330,65 @@ class TestFdSolver:
             assert np.abs(jac[:, k] - central).max() <= 1e-5
         assert np.all(np.diag(jac) > 0.0)
 
-    @pytest.mark.parametrize("resolution", [64, 128, 512])
-    def test_count_cell_matches_the_filler_counts(self, resolution):
-        dom = self._JUMP_RAMP_16
-        psis = dom.psis[:-1]
-        feats = np.sort(np.append(psis, [0.0, math.pi]))
-        counts = np.diff(np.searchsorted(FdSolver(dom, resolution).thetas,
-                                         feats))
-        D, lo, hi = count_cell(psis, resolution)
+    @pytest.mark.parametrize("resolution", [128, 256])
+    def test_arc_measure_jacobian_across_a_count_threshold(self, resolution):
+        # the gap between the rays of arcs 0 and 1 is a multiple of h, so
+        # fresh grids on either side of psi_1 hold different filler counts
+        # and their measures jump; at the counts frozen in between, centred
+        # differences see the smooth map that the Jacobian differentiates
+        dom = self._MIRROR_CASES["circle"][0]
+        radii, psis = dom.radii, dom.psis.copy()
         h = 2.0 * math.pi / resolution
-        assert np.array_equal(np.rint((np.diff(feats) + hi) / h), counts)
-        assert np.allclose(hi - lo, h) and np.all((lo < 0.0) & (0.0 <= hi))
-        # D maps a change of the psis to the change of the gaps
-        s = np.linspace(-1.0, 1.0, len(psis)) * 1e-3
-        moved = np.sort(np.append(psis + s, [0.0, math.pi]))
-        assert np.allclose(D @ s, np.diff(moved) - np.diff(feats), atol=1e-15)
+        psis[1] = psis[0] + math.ceil(0.5 / h) * h
+        s = FdSolver(CircleDomain.from_arrays(radii, psis), resolution)
+        jac = s.arc_measure_jacobian()
+        delta = 1e-7
+        frozen, fresh = [], []
+        for sign in (1.0, -1.0):
+            p = psis.copy()
+            p[1] += sign * delta
+            moved = CircleDomain.from_arrays(radii, p)
+            frozen.append(FdSolver(moved, resolution, counts=s.counts).arc_measures())
+            fresh.append(FdSolver(moved, resolution))
+        assert fresh[0].counts != fresh[1].counts
+        # the jump (6.5e-5 at 256) dwarfs the smooth change over 2 delta
+        jump = fresh[0].arc_measures() - fresh[1].arc_measures()
+        assert np.abs(jump).max() > 1e-5
+        central = (frozen[0] - frozen[1]) / (2.0 * delta)
+        assert np.abs(jac[:, 1] - central).max() <= 1e-5
+
+    def test_filler_counts_freeze_and_refreeze(self):
+        dom = self._JUMP_RAMP_16
+        radii, psis = dom.radii, dom.psis.copy()
+        h = 2.0 * math.pi / 128
+        fresh = filler_counts(dom, 128)
+        gaps = np.diff(np.concatenate(([0.0], psis[:-1], [math.pi])))
+        assert fresh == tuple(int(c) for c in np.maximum(1, np.ceil(gaps / h)))
+        # the default grid is the grid of the default counts, bit for bit
+        assert np.array_equal(FdSolver(dom, 128).weights,
+                              FdSolver(dom, 128, counts=fresh).weights)
+        # moved psis keep frozen counts while every cell stays within 4 h
+        moved = psis.copy()
+        moved[:-1] += np.linspace(0.0, 0.1, 16)
+        moved_dom = CircleDomain.from_arrays(radii, moved)
+        assert filler_counts(moved_dom, 128) != fresh
+        assert filler_counts(moved_dom, 128, fresh) == fresh
+        # a gap grown past 4 h cells re-freezes to the fresh counts
+        wide = psis.copy()
+        wide[0] -= 7.0 * h  # its gap to psi_1: 2 cells of about 4.5 h
+        wide_dom = CircleDomain.from_arrays(radii, wide)
+        assert filler_counts(wide_dom, 128, fresh) == filler_counts(wide_dom, 128)
+        # merged rays (every psi on one ray) change the gap count
+        one_ray = CircleDomain.from_arrays(radii, np.append(np.full(16, 1.0),
+                                                            math.pi))
+        assert len(filler_counts(one_ray, 128, fresh)) == 2
+
+    def test_bad_filler_counts_rejected(self):
+        dom = self._MIRROR_CASES["circle"][0]
+        counts = FdSolver(dom, 64).counts
+        for bad in (counts[:-1], counts + (1,), (0,) + counts[1:]):
+            with pytest.raises(ValueError, match="one filler count >= 1"):
+                FdSolver(dom, 64, counts=bad)
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
