@@ -6,7 +6,6 @@ Slit disk: Monte Carlo, the grid solver (Richardson-extrapolated from two
 resolutions), and the closed form, pairwise.
 """
 import argparse
-import math
 
 import numpy as np
 

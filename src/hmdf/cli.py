@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import construct, geometry, hfunction, potential
+from . import construct, hfunction, potential
 from .geometry import BlockedCircleDomain, CircleDomain
 from .hfunction import CandidateH, StepH
 from .potential import OffCenterDisk, WosConfig
@@ -275,17 +275,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_usable_domain(path: str):
-    """``load_domain``, rejecting a circle-type domain that fails
-    ``geometry.check_usable``."""
-    dom = load_domain(path)
-    if not isinstance(dom, OffCenterDisk):
-        geometry.check_usable(dom)
-    return dom
-
-
 def cmd_compute(args) -> int:
-    dom = _load_usable_domain(args.domain)
+    dom = load_domain(args.domain)
     mu, M = dom.mu, dom.outer_radius
     if args.radii:
         radii = sorted(float(x) for x in args.radii.split(","))
@@ -383,7 +374,7 @@ def cmd_check(args) -> int:
 
 def cmd_render(args) -> int:
     if args.domain:
-        svg = render_domain_svg(_load_usable_domain(args.domain))
+        svg = render_domain_svg(load_domain(args.domain))
     else:
         svg = render_function_svg(load_function(args.function))
     with open(args.out, "w") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -371,10 +371,12 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     closed form, and verify the realized h-function by Monte Carlo against
     f and against the universal lower bound.  The verdict needs every
     stage's arc-bound margin to be nonnegative: gates fit only into arcs
-    that long."""
+    that long.  Invalid WoS settings (``WosConfig``) raise ValueError
+    before the first stage."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"approximation levels must be strictly increasing, "
                          f"got {', '.join(map(str, n_list))}")
+    wos = WosConfig(epsilon=settings.epsilon, seed=settings.seed)
     check = check_candidate(f)
     alpha = check.alpha
     stages = []
@@ -395,8 +397,7 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
         hd = bounds.hdiff_bound(omega)
         rs = _eval_radii(f, steps.radii)
         table = estimate_h(omega, rs, 0.0, verify_samples,
-                           WosConfig(epsilon=settings.epsilon,
-                                     seed=settings.seed + 104729 * n))
+                           replace(wos, seed=settings.seed + 104729 * n))
         hv = table.values
         se = table.std_errors
         fv = hfunction.evaluate(f, rs)

@@ -57,11 +57,8 @@ _MAX_CELL = 4.0
 def _feature_rays(d) -> list[float]:
     """The sorted feature rays on [0, pi]: the axis rays, every arc
     endpoint and gate angle, with rays closer than ``_MERGE`` merged."""
-    req = {0.0, math.pi}
-    for a in (*d.psis[:-1], *d.phis):
-        if 0.0 < a < math.pi:
-            req.add(float(a))
-    pos = sorted(req)
+    # a valid domain has every inner psi and every phi in [0, pi)
+    pos = sorted({0.0, math.pi, *d.psis[:-1].tolist(), *d.phis.tolist()})
     merged = [pos[0]]
     for a in pos[1:]:
         if a - merged[-1] > _MERGE:
@@ -141,7 +138,6 @@ class FdSolver:
         if self.n_theta < MIN_N_THETA:
             raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
                              f"got {n_theta}")
-        geometry.check_usable(dom)
         self.domain = dom
         self._radii = dom.radii
         self._psis = dom.psis
@@ -280,14 +276,10 @@ class FdSolver:
         w = -(B.T @ y)
         self._lu, self._y, self._B, self._mult = lu, y, B, mult
 
-        di, dj = np.nonzero(is_dir)
-        order = did[di, dj]
-        self.dir_kind = np.empty(n_dir, dtype=np.int8)
-        self.dir_index = np.empty(n_dir, dtype=np.int64)
-        self.dir_radius = np.empty(n_dir)
-        self.dir_kind[order] = self._kind[di, dj]
-        self.dir_index[order] = self._idx[di, dj]
-        self.dir_radius[order] = rho[di]
+        # Dirichlet node ids number the mask in C order, as masking does
+        self.dir_kind = self._kind[is_dir]
+        self.dir_index = self._idx[is_dir]
+        self.dir_radius = rho[np.nonzero(is_dir)[0]]
         self.weights = w
         self.weight_sum = float(w.sum())
         self.n_unknowns = n_unk
@@ -295,13 +287,18 @@ class FdSolver:
 
     # -- measure queries --------------------------------------------------
 
-    def _measures(self, code: int) -> np.ndarray:
-        """Measure of every feature of one kind code, by feature index
-        (0..n, long enough for arcs, gates and the outer circle)."""
-        out = np.zeros(len(self._radii))
+    def _per_feature(self, code: int, node_values: np.ndarray) -> np.ndarray:
+        """Sums of ``node_values`` (rows per Dirichlet node) over the nodes
+        of every feature of one kind code, by feature index (0..n, long
+        enough for arcs, gates and the outer circle)."""
+        out = np.zeros((len(self._radii),) + node_values.shape[1:])
         sel = self.dir_kind == code
-        np.add.at(out, self.dir_index[sel], self.weights[sel])
+        np.add.at(out, self.dir_index[sel], node_values[sel])
         return out
+
+    def _measures(self, code: int) -> np.ndarray:
+        """Measure of every feature of one kind code, by feature index."""
+        return self._per_feature(code, self.weights)
 
     def measure(self, kind: str, index: int) -> float:
         """Harmonic measure at 0 of one boundary feature."""
@@ -393,7 +390,4 @@ class FdSolver:
             R[uid[:, a:b][win], k] = Tk[win]
             D[did[:, a:b][~win], k] = Tk[~win]
         dw = self._B.T @ self._lu.solve(R, trans="T") - D
-        out = np.zeros((len(self._radii), len(psis)))
-        sel = self.dir_kind == ARC
-        np.add.at(out, self.dir_index[sel], dw[sel])
-        return out[:-1]
+        return self._per_feature(ARC, dw)[:-1]

@@ -8,6 +8,15 @@ channels between consecutive arcs, making the domain simply connected.
 All domains here are symmetric about the real axis by construction, so an
 arc is described by its radius and half-arclength psi, and a gate pair by
 a single nonnegative angle phi.
+
+Every domain is valid by construction, so every engine, walk-on-spheres
+included, sees only valid ones.  The constructors raise ValueError naming
+each violated invariant: they need at least one arc; finite radii,
+half-arclengths and gate angles; positive, strictly increasing radii;
+every psi in [0, pi], with psi = pi for the outer circle and no other
+(psi = 0 is a point arc, legal but of zero measure); and one gate angle
+per channel with 0 <= phi_k <= min(psi_k, psi_{k+1}), gates inside the
+arcs they join.
 """
 from __future__ import annotations
 
@@ -28,10 +37,8 @@ __all__ = [
     "ARC",
     "GATE",
     "OUTER",
-    "check_usable",
     "nearest_boundary",
     "is_interior",
-    "validate",
     "theta",
 ]
 
@@ -49,6 +56,45 @@ def _frozen(values) -> np.ndarray:
 
 
 _NO_GATES = _frozen(())
+_NOT_FINITE = "radii, half-arclengths and gate angles must be finite"
+
+
+def _raise_if(violations) -> None:
+    message = "; ".join(violations)
+    if message:
+        raise ValueError(message)
+
+
+def _arc_violations(radii: np.ndarray, psis: np.ndarray):
+    """The violated invariants of a circle domain's arcs."""
+    if len(radii) == 0:
+        yield "domain has no arcs"
+        return
+    if not (np.isfinite(radii).all() and np.isfinite(psis).all()):
+        yield _NOT_FINITE
+    if np.any(radii <= 0):
+        yield "radii must be positive"
+    if np.any(np.diff(radii) <= 0):
+        yield "radii not increasing"
+    if np.any((psis < 0) | (psis > math.pi)):
+        yield "half-arclength outside [0, pi]"
+    if psis[-1] != math.pi:
+        yield "outer boundary not full circle"
+    if np.any(psis[:-1] >= math.pi):
+        yield "inner arc is a full circle"
+
+
+def _gate_violations(psis: np.ndarray, phis: np.ndarray):
+    """The violated invariants of the gates on valid arcs ``psis``."""
+    if len(phis) != len(psis) - 1:
+        yield "gate count must equal arc count minus one"
+        return
+    if not np.isfinite(phis).all():
+        yield _NOT_FINITE
+    if np.any(phis < 0):
+        yield "gate angle negative"
+    if np.any(phis > np.minimum(psis[:-1], psis[1:]) + 1e-15):
+        yield "gate angle exceeds neighboring arcs; channel not blocked"
 
 
 class NotInteriorError(ValueError):
@@ -77,6 +123,9 @@ class CircleDomain:
     """
 
     arcs: tuple[Arc, ...]
+
+    def __post_init__(self):
+        _raise_if(_arc_violations(self.radii, self.psis))
 
     @property
     def base(self) -> "CircleDomain":
@@ -125,11 +174,15 @@ class BlockedCircleDomain:
 
     ``gate_angles[k]`` is the angle phi_k of the gates joining arc k to
     arc k+1; phi_k = 0 means a single gate on the positive real axis.
-    The array views are read-only.
+    The array views are read-only.  Only the gates are checked here:
+    ``base`` checked its arcs when it was built.
     """
 
     base: CircleDomain
     gate_angles: tuple[float, ...]
+
+    def __post_init__(self):
+        _raise_if(_gate_violations(self.psis, self.phis))
 
     @property
     def radii(self) -> np.ndarray:
@@ -159,50 +212,6 @@ class BlockedCircleDomain:
 
 
 Domain = Union[CircleDomain, BlockedCircleDomain]
-
-
-def validate(d: Domain) -> list[str]:
-    """Check all structural invariants; returns violations, never raises.
-
-    Entries starting with ``"warning:"`` are advisory (capacity-zero
-    point arcs); anything else makes the domain unusable.
-    """
-    out: list[str] = []
-    radii, psis, phi = d.radii, d.psis, d.phis
-    if len(radii) == 0:
-        return ["domain has no arcs"]
-    if not all(np.isfinite(a).all() for a in (radii, psis, phi)):
-        out.append("radii, half-arclengths and gate angles must be finite")
-    if np.any(radii <= 0):
-        out.append("radii must be positive")
-    if np.any(np.diff(radii) <= 0):
-        out.append("radii not increasing")
-    if np.any((psis < 0) | (psis > math.pi)):
-        out.append("half-arclength outside [0, pi]")
-    if psis[-1] != math.pi:
-        out.append("outer boundary not full circle")
-    if np.any(psis[:-1] >= math.pi):
-        out.append("inner arc is a full circle")
-    for k, p in enumerate(psis[:-1]):
-        if p == 0.0:
-            out.append(f"warning: capacity-zero feature: arc {k} has zero arclength")
-    if isinstance(d, BlockedCircleDomain):
-        if len(phi) != len(radii) - 1:
-            out.append("gate count must equal arc count minus one")
-        else:
-            cap = np.minimum(psis[:-1], psis[1:])
-            if np.any(phi < 0):
-                out.append("gate angle negative")
-            if np.any(phi > cap + 1e-15):
-                out.append("gate angle exceeds neighboring arcs; channel not blocked")
-    return out
-
-
-def check_usable(d: Domain) -> None:
-    """Raise ValueError naming every non-advisory ``validate`` violation."""
-    bad = [v for v in validate(d) if not v.startswith("warning:")]
-    if bad:
-        raise ValueError("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +342,14 @@ def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:
     """True where ``z`` lies in the open component of the domain containing 0.
 
     For blocked circle domains the closed-off pockets behind the gates
-    (between arcs, inside the gate angle) are excluded explicitly.
+    (between arcs, inside the gate angle) are excluded explicitly; points
+    on the boundary, arcs included, have nearest distance 0.
     """
     z = np.asarray(z, dtype=complex)
-    radii, psis, gate_phi = d.radii, d.psis, d.phis
+    radii, gate_phi = d.radii, d.phis
     rho = np.abs(z)
     ang = np.abs(np.angle(z))
     ok = rho < radii[-1]
-    for k in range(len(radii) - 1):
-        on = (ang <= psis[k]) & (rho == radii[k])
-        ok &= ~on
     for k in range(len(gate_phi)):
         pocket = (rho > radii[k]) & (rho < radii[k + 1]) & (ang < gate_phi[k])
         ok &= ~pocket

@@ -91,11 +91,22 @@ WosDomain = Union[CircleDomain, BlockedCircleDomain, OffCenterDisk]
 class WosConfig:
     """Walk-on-spheres settings.  ``epsilon`` is the absorbing-shell
     thickness relative to the outer radius; walks hitting ``max_steps``
-    are discarded from the estimate and tallied."""
+    are discarded from the estimate and tallied.  Raises ValueError
+    unless ``epsilon`` is positive and finite, ``max_steps`` at least 1
+    and ``seed`` nonnegative."""
 
     epsilon: float = 1e-5
     max_steps: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, "
+                             f"got {self.epsilon}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +162,6 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     to one core.
     ``reflect`` negates every angular draw (domain symmetry tests).
     """
-    if not (0.0 < config.epsilon < math.inf):
-        raise ValueError("epsilon must be positive and finite")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     _check_interior(dom, z0)
@@ -219,19 +228,12 @@ def _usable_cores() -> int:
 def _run_batches(walk, n_batches: int, workers: int) -> list:
     """``walk(i)`` for every batch ``i`` on ``workers`` threads, in batch
     order.  NumPy releases the GIL in its array loops, so batches overlap.
-    The first error cancels the batches not yet started and is raised once
-    the running ones end; every thread is joined before this returns."""
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(walk, i) for i in range(n_batches)]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for f in futures:
-        if not f.cancelled() and f.exception() is not None:
-            raise f.exception()
-    return [f.result() for f in futures]
+    The first error in batch order cancels the batches not yet started and
+    is raised once the running ones end; every thread is joined before
+    this returns."""
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(walk, range(n_batches)))
 
 
 def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate]:

@@ -193,6 +193,33 @@ class TestExitCodes:
                                        "strictly increasing")
             assert r.stdout == ""
 
+    def test_bad_eps_exits_before_any_inversion(self, files):
+        # the pipeline checks its WoS settings before the n = 2 inversion
+        err = io.StringIO()
+        with mock.patch.object(construct, "solve_circle_domain") as solve, \
+                contextlib.redirect_stderr(err):
+            assert cli.main(["construct", "--function", files["fn"],
+                             "--eps", "0"]) == 2
+        solve.assert_not_called()
+        assert err.getvalue() == ("error: epsilon must be positive and "
+                                  "finite, got 0.0\n")
+
+    def test_invalid_domain_exits_two(self, tmp_path):
+        # decreasing radii: every engine and render refuse the file alike
+        p = tmp_path / "dec.json"
+        p.write_text(json.dumps({"kind": "circle", "radii": [2.0, 1.0],
+                                 "half_arclengths": [0.5, math.pi]}))
+        for args in (["compute", "--domain", str(p)],
+                     ["compute", "--domain", str(p), "--engine", "fd"],
+                     ["render", "--domain", str(p),
+                      "--out", str(tmp_path / "dec.svg")]):
+            r = run_cli(args)
+            assert r.returncode == 2, args
+            assert r.stderr == (f"error: {p}: malformed domain file "
+                                f"(radii not increasing)\n")
+            assert r.stdout == ""
+        assert not (tmp_path / "dec.svg").exists()
+
     def test_fd_on_offcenter_exits_three(self, tmp_path):
         p = tmp_path / "oc.json"
         p.write_text(json.dumps({"kind": "offcenter-disk",

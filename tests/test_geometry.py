@@ -85,11 +85,16 @@ class TestNearestBoundary:
         assert modulus == pytest.approx(1.2 * math.cos(0.05), abs=1e-12)
 
     def test_not_interior_raises(self, blocked_example):
-        # outside the outer circle, and on arc 0
-        for z in (5.0 + 0j, 1.0 + 0j):
-            assert not geometry.is_interior(np.array([z]), blocked_example)[0]
+        # outside the outer circle, on arc 0, at both endpoints of arc 0,
+        # and on a point arc
+        end = np.exp(1.1j)
+        point_arc = CircleDomain.from_arrays([1.0, 2.0], [0.0, math.pi])
+        for z, dom in ((5.0 + 0j, blocked_example), (1.0 + 0j, blocked_example),
+                       (end, blocked_example), (end.conjugate(), blocked_example),
+                       (1.0 + 0j, point_arc)):
+            assert not geometry.is_interior(np.array([z]), dom)[0]
             with pytest.raises(NotInteriorError):
-                wos_exit_ensemble(blocked_example, z, 10)
+                wos_exit_ensemble(dom, z, 10)
 
     def test_pocket_excluded(self, blocked_example):
         # behind gate 0: radius in (1, 1.4), angle < 0.3
@@ -110,38 +115,53 @@ def test_domain_arrays_read_only(blocked_example):
 
 
 class TestValidate:
+    """Every constructor checks its invariants and names each violation."""
+
     def test_good_domain(self, blocked_example):
-        assert geometry.validate(blocked_example) == []
+        # its base was checked when built; the gates pass their own check
+        assert BlockedCircleDomain(blocked_example.base,
+                                   blocked_example.gate_angles) == blocked_example
 
     def test_decreasing_radii(self):
-        d = CircleDomain.from_arrays([2.0, 1.0], [0.5, math.pi])
-        assert any("increasing" in v for v in geometry.validate(d))
+        with pytest.raises(ValueError, match="increasing"):
+            CircleDomain.from_arrays([2.0, 1.0], [0.5, math.pi])
 
     def test_outer_not_full(self):
-        d = CircleDomain.from_arrays([1.0, 2.0], [0.5, 3.0])
-        assert any("outer" in v for v in geometry.validate(d))
+        with pytest.raises(ValueError, match="outer"):
+            CircleDomain.from_arrays([1.0, 2.0], [0.5, 3.0])
 
-    def test_point_arc_warns_only(self):
+    def test_point_arc_is_legal(self):
         d = CircleDomain.from_arrays([1.0, 2.0], [0.0, math.pi])
-        msgs = geometry.validate(d)
-        assert msgs and all(m.startswith("warning:") for m in msgs)
+        assert d.psis[0] == 0.0
+
+    def test_every_violation_named(self):
+        with pytest.raises(ValueError) as err:
+            CircleDomain.from_arrays([2.0, -1.0], [4.0, 3.0])
+        assert str(err.value) == "; ".join([
+            "radii must be positive", "radii not increasing",
+            "half-arclength outside [0, pi]",
+            "outer boundary not full circle", "inner arc is a full circle"])
+        with pytest.raises(ValueError, match="no arcs"):
+            CircleDomain(())
 
     def test_non_finite_rejected(self):
-        bad = [CircleDomain.from_arrays([1.0, math.nan], [0.5, math.pi]),
-               CircleDomain.from_arrays([1.0, math.inf], [0.5, math.pi]),
-               CircleDomain.from_arrays([1.0, 2.0], [math.nan, math.pi]),
-               BlockedCircleDomain(
-                   CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi]),
-                   (math.nan,))]
-        for d in bad:
-            assert any("finite" in v for v in geometry.validate(d))
+        base = CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi])
+        bad = [lambda: CircleDomain.from_arrays([1.0, math.nan], [0.5, math.pi]),
+               lambda: CircleDomain.from_arrays([1.0, math.inf], [0.5, math.pi]),
+               lambda: CircleDomain.from_arrays([1.0, 2.0], [math.nan, math.pi]),
+               lambda: BlockedCircleDomain(base, (math.nan,))]
+        for build in bad:
             with pytest.raises(ValueError, match="finite"):
-                geometry.check_usable(d)
+                build()
 
     def test_gate_exceeds_arc(self):
         base = CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi])
-        d = BlockedCircleDomain(base, (0.9,))
-        assert any("blocked" in v or "gate" in v for v in geometry.validate(d))
+        with pytest.raises(ValueError, match="gate"):
+            BlockedCircleDomain(base, (0.9,))
+        with pytest.raises(ValueError, match="gate angle negative"):
+            BlockedCircleDomain(base, (-0.1,))
+        with pytest.raises(ValueError, match="gate count"):
+            BlockedCircleDomain(base, (0.1, 0.1))
 
 
 class TestEtaTheta:
@@ -316,7 +336,38 @@ def test_theta_le_eta_plus_max_chi_exact(d):
             assert theta <= eta + max_chi
 
 
+def corruptions(d):
+    """Every single corruption of a valid blocked domain, each as the
+    violation it makes and the arrays (radii, psis, phis) it leaves."""
+    radii, psis, phis = d.radii.copy(), d.psis.copy(), d.phis.copy()
+    n = len(phis)
+
+    def put(a, k, v):
+        a = a.copy()
+        a[k] = v
+        return a
+
+    caps = np.minimum(psis[:-1], psis[1:])
+    out = [("outer", radii, put(psis, n, math.pi - 1e-3), None),
+           ("finite", put(radii, n, math.nan), psis, None),
+           ("finite", radii, put(psis, 0, math.nan), None),
+           ("finite", radii, psis, put(phis, 0, math.nan)),
+           ("gate angle negative", radii, psis, put(phis, 0, -1e-3)),
+           ("gate angle exceeds", radii, psis, put(phis, 0, caps[0] + 1e-3))]
+    for k in range(n):
+        out.append(("increasing", put(put(radii, k, radii[k + 1]), k + 1, radii[k]),
+                    psis, None))
+        out.append(("outside", radii, put(psis, k, math.pi + 1e-3), None))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocked_domains())
-def test_validate_generated_domains(d):
-    assert all(v.startswith("warning:") for v in geometry.validate(d))
+def test_corrupted_generated_domains_raise(d):
+    """A generated domain builds, and every single corruption of it
+    raises at construction, naming the violation: swapped radii,
+    psi_n < pi, psi_k > pi, a NaN, phi_k > cap and phi_k < 0."""
+    for what, radii, psis, phis in corruptions(d):
+        with pytest.raises(ValueError, match=what):
+            base = CircleDomain.from_arrays(radii, psis)
+            BlockedCircleDomain(base, tuple(d.phis if phis is None else phis))

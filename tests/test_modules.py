@@ -1,9 +1,11 @@
 """Every script imports and every name a module exports exists, so a
-deletion that leaves a dangling import or ``__all__`` entry fails here.
+deletion that leaves a dangling import or ``__all__`` entry fails here;
+nor does a module or script import a name it never uses.
 SciPy loads only where an engine needs it, so commands that do not use
 the fd engine start without it, an inversion loads no more of it than
 the fd engine's sparse solver, and a one-batch WoS ensemble starts no
 thread pool."""
+import ast
 import importlib
 import os
 import pathlib
@@ -18,6 +20,32 @@ import hmdf
 
 SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hmdf.__path__))
+SOURCES = sorted(pathlib.Path(hmdf.__file__).parent.glob("*.py")) + SCRIPTS
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"line: name"`` for every name ``source`` imports and never reads.
+    A ``__future__`` import, a name listed in ``__all__`` and an import
+    statement marked ``# noqa: F401`` count as used."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for name, line in imported.items()
+            if name not in used]
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
@@ -31,6 +59,23 @@ def test_exports_resolve(name):
     module = importlib.import_module(f"hmdf.{name}")
     assert [n for n in getattr(module, "__all__", ())
             if not hasattr(module, n)] == []
+
+
+def test_unused_import_check():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\n"
+              "from math import (pi,\n"
+              "                  tau)  # noqa: F401\n"
+              "from sys import argv, path\n"
+              "__all__ = ['path']\n"
+              "print(argv)\n")
+    assert unused_imports(source) == ["2: os", "2: osp"]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def run_fresh(code, *args):

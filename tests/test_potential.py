@@ -245,6 +245,32 @@ class TestWos:
         with pytest.raises(ValueError, match="n_samples"):
             estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 0)
 
+    def test_bad_config_rejected(self):
+        # max_steps = 0 would discard every walk unseen
+        for eps in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive "
+                                                 "and finite"):
+                WosConfig(epsilon=eps)
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            WosConfig(max_steps=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            WosConfig(seed=-1)
+
+    @pytest.mark.parametrize("what, radii, psis, phis", [
+        ("radii not increasing", [2.0, 1.5, 1.0], [1.0, 1.0, math.pi], None),
+        ("outer boundary not full circle", [1.0, 1.5, 2.0], [1.0, 1.0, 3.0], None),
+        ("gate angle exceeds", [1.0, 1.5, 2.0], [1.0, 0.5, math.pi], (0.2, 0.9)),
+        (r"outside \[0, pi\]", [1.0, 1.5, 2.0], [3.5, 1.0, math.pi], None)],
+        ids=["decreasing", "outer", "gate", "psi"])
+    def test_invalid_domain_never_reaches_estimate_h(self, what, radii, psis,
+                                                     phis):
+        # each of these once came back from estimate_h as an h-table
+        with pytest.raises(ValueError, match=what):
+            dom = CircleDomain.from_arrays(radii, psis)
+            if phis is not None:
+                dom = BlockedCircleDomain(dom, phis)
+            estimate_h(dom, [0.5, 1.0, 1.5, 2.0], 0.0, 2000, WosConfig(seed=1))
+
 
 class TestFdSolver:
     def test_disk_weights_normalized(self):
