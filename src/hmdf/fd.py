@@ -66,10 +66,19 @@ def _feature_rays(d) -> list[float]:
     return merged
 
 
+def _check_resolution(n_theta) -> int:
+    """``n_theta`` as an int, or ValueError below ``MIN_N_THETA``."""
+    if int(n_theta) < MIN_N_THETA:
+        raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
+                         f"got {n_theta}")
+    return int(n_theta)
+
+
 def filler_counts(d, n_theta: int, frozen=None) -> tuple[int, ...]:
     """The cell count of each gap between the feature rays of ``d``: the
     ``frozen`` counts while they fit (no feature rays merged or separated,
     no cell wider than ``_MAX_CELL`` h), else the fresh ceil(gap / h)."""
+    n_theta = _check_resolution(n_theta)
     gaps = np.diff(_feature_rays(d))
     h = 2.0 * math.pi / n_theta
     if (frozen is not None and len(frozen) == len(gaps)
@@ -134,10 +143,7 @@ class FdSolver:
     """
 
     def __init__(self, dom: geometry.Domain, n_theta: int = 512, counts=None):
-        self.n_theta = int(n_theta)
-        if self.n_theta < MIN_N_THETA:
-            raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
-                             f"got {n_theta}")
+        self.n_theta = _check_resolution(n_theta)
         self.domain = dom
         self._radii = dom.radii
         self._psis = dom.psis

@@ -501,10 +501,15 @@ _GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-# an fd resolution of 0 divided by zero; a one-entry center list raised
-# IndexError: both were tracebacks with exit code 1
+# an fd resolution of 0 divided by zero (in compute, and in construct's
+# filler counts); a one-entry center list raised IndexError: all were
+# tracebacks with exit code 1
 @example(_COMMANDS[0], _CIRCLE, _STEP,
          {**_GOOD, "HMDF_ENGINE": "fd", "HMDF_RESOLUTION": "0"})
+@example(_COMMANDS[3], _CIRCLE,
+         {"kind": "candidate", "breakpoints": [1.0, 2.0], "values": [0.5, 1.0],
+          "segments": ["linear"]},
+         {**_GOOD, "HMDF_RESOLUTION": "0"})
 @example(_COMMANDS[0], {"kind": "offcenter-disk", "center": [0.5], "radius": 1.0},
          _STEP, _GOOD)
 @given(st.sampled_from(_COMMANDS), st.one_of(_domain_data(), _NON_OBJECTS),

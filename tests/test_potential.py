@@ -411,6 +411,9 @@ class TestFdSolver:
 
     def test_bad_filler_counts_rejected(self):
         dom = self._MIRROR_CASES["circle"][0]
+        for res in (0, -4, 7):
+            with pytest.raises(ValueError, match="fd resolution must be at least"):
+                filler_counts(dom, res)
         counts = FdSolver(dom, 64).counts
         for bad in (counts[:-1], counts + (1,), (0,) + counts[1:]):
             with pytest.raises(ValueError, match="one filler count >= 1"):
