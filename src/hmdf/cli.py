@@ -7,9 +7,10 @@ Subcommands:
   check      fast threshold certification of a candidate (no solving)
   render     deterministic SVG drawing of a domain or candidate
 
-Exit codes: 0 success; 2 invalid input or usage; 3 engine error;
-4 solver non-convergence.  Verdicts (PASS/FAIL) are reported on stdout,
-not via the exit code.  HMDF_<NAME> overrides the default of --<name>
+Exit codes: 0 success; 2 invalid input or usage; 3 engine error, an
+input too large to allocate included (say, a --samples count past the
+memory); 4 solver non-convergence.  Verdicts (PASS/FAIL) are reported on
+stdout, not via the exit code.  HMDF_<NAME> overrides the default of --<name>
 where a command takes it: HMDF_ENGINE reaches compute; HMDF_SAMPLES,
 HMDF_SEED and HMDF_EPS compute and construct; HMDF_RESOLUTION all three;
 HMDF_TOL invert and construct.  A malformed value exits 2 for any command.
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
     except construct.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

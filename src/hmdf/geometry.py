@@ -38,6 +38,7 @@ __all__ = [
     "GATE",
     "OUTER",
     "nearest_boundary",
+    "nearest_feature",
     "is_interior",
     "theta",
 ]
@@ -216,7 +217,8 @@ Domain = Union[CircleDomain, BlockedCircleDomain]
 
 # ---------------------------------------------------------------------------
 # Distance queries.  Everything is vectorized over complex arrays because the
-# walk-on-spheres engine calls this in bulk.
+# walk-on-spheres engine calls this in bulk: ``nearest_boundary`` at every
+# walk step, ``nearest_feature`` once per batch at the exit points only.
 
 
 # Slack of the pruning test per unit of |z| + M (M the outer radius): the
@@ -246,34 +248,133 @@ def _arc_distance(z, rho, ang, r, psi, end):
                     np.minimum(np.abs(z - end), np.abs(z - np.conj(end))))
 
 
-def nearest_boundary(z: np.ndarray, d: Domain):
+def _candidates(z, rho, ang, thr, d, skip=None):
+    """The arcs and gates whose lower bounds are at most ``thr`` at a point,
+    each evaluated there: arrays ``(point, feature, distance, modulus)``,
+    one entry per such pair, features numbered arcs 0..n-1 then gates
+    n..n+g-1.  ``skip[p]`` is an arc already evaluated at point p, or n
+    for none.  The angular bound ``(2/pi) sqrt(rho r_k) delta <= thr`` is
+    tested as ``sqrt(r_k) delta <= (pi/2) thr / sqrt(rho)``, which errs by
+    a few ulps of ``thr`` and of the bound."""
+    radii, psis, gate_phi = d.radii, d.psis, d.phis
+    n, g = len(radii) - 1, len(gate_phi)
+    # Row k is radius k (the outer circle last) or arc k, column p point p.
+    # The float rows are computed in place in one buffer: a fresh n-by-N
+    # temporary per operation costs more than the operation.
+    ge = radii[:, None] >= rho - thr
+    le = radii[:, None] <= rho + thr
+    root = np.sqrt(radii)[:, None]
+    with np.errstate(divide="ignore"):  # rho = 0 prunes nothing by angle
+        q = np.pi / 2 * thr / np.sqrt(rho)
+    rows = np.subtract(ang, psis[:, None])
+    rows *= root
+    arcs = rows <= q
+    arcs &= ge
+    arcs &= le
+    if skip is not None:
+        arcs[skip, np.arange(z.size)] = False
+    fa, pa = np.divmod(np.flatnonzero(arcs[:n]), z.size)
+    rows = np.subtract(ang, gate_phi[:, None], out=rows[:g])
+    np.abs(rows, out=rows)
+    rows *= root[:g]
+    gates = rows <= q
+    gates &= ge[1:g + 1]
+    gates &= le[:g]
+    kg, pg = np.divmod(np.flatnonzero(gates), z.size)
+    r, psi = radii[:n], psis[:n]
+    dist_a = _arc_distance(z[pa], rho[pa], ang[pa], r[fa], psi[fa],
+                           (r * np.exp(1j * psi))[fa])
+    dist_g, mod_g = _gate_distance(z[pg], radii[kg], radii[kg + 1],
+                                   np.exp(-1j * gate_phi)[kg])
+    return (np.concatenate([pa, pg]), np.concatenate([fa, kg + n]),
+            np.concatenate([dist_a, dist_g]), np.concatenate([r[fa], mod_g]))
+
+
+def _distance(z, rho, d):
+    """The nearest distance at the flat points ``z`` of modulus ``rho``."""
+    radii, psis = d.radii, d.psis
+    n = len(radii) - 1
+    M = radii[n]
+    best = M - rho
+    np.abs(best, out=best)
+    if not n:
+        return best
+    r, psi = radii[:n], psis[:n]
+    ang = np.abs(np.angle(z))
+    # The covering arc j, or the outer circle (j = n) where no arc covers.
+    j = np.searchsorted(np.maximum.accumulate(psis), ang)
+    np.minimum(j, n, out=j)  # NaN sorts last
+    np.minimum(best, np.abs(rho - radii[j]), out=best)
+    # Where no arc covers, the arc k nearest in radius bounds from above
+    # without being evaluated: a path radially to its circle and along it.
+    upper = best.copy()
+    out = np.flatnonzero(j == n)
+    k = np.searchsorted((r[:-1] + r[1:]) / 2, rho[out])
+    upper[out] = np.minimum(upper[out], np.abs(rho[out] - r[k])
+                            + r[k] * np.maximum(ang[out] - psi[k], 0.0))
+    upper += _SLACK * (rho + M)
+    p, _, dist, _ = _candidates(z, rho, ang, upper, d, skip=j)
+    np.minimum.at(best, p, dist)
+    return best
+
+
+def nearest_boundary(z: np.ndarray, d: Domain) -> np.ndarray:
     """Distance from points ``z`` to the nearest boundary feature.
 
-    Returns arrays ``(dist, kind_code, index, modulus)`` where kind_code
-    indexes ``KINDS``.  Ties resolve to the lowest feature index with arcs
-    before gates before the outer circle.  Arc k and gate k both start at
+    This is the walk-on-spheres step query, so it returns the distance
+    alone; ``nearest_feature`` names the feature.  The query is exact but
+    evaluates a feature only at the points where it can be nearest.  With
+    ``rho = |z|`` and ``M`` the outer radius:
+
+    - Upper bounds, at every point.  The outer circle, at distance
+      ``|M - rho|``.  The covering arc: the first arc j whose running
+      maximum of psi reaches ``|arg z|``, found by
+      ``np.searchsorted(np.maximum.accumulate(psi), |arg z|)``.  Then
+      psi_j >= ``|arg z|``, so arc j's nearest point lies at the point's
+      own angle and its distance is exactly ``|rho - r_j|``; where psi
+      increases with the radius, as on the jump-ramp stages, it is the
+      nearest arc that covers the point's angle.  And, where no arc covers
+      it, the arc k nearest to ``rho`` in radius, not evaluated: a path
+      radially to its circle and along it to the arc is ``|rho - r_k| +
+      r_k max(|arg z| - psi_k, 0)`` long.  The least of these bounds the
+      nearest distance.
+    - Lower bounds: the radial gap from ``rho`` to ``r_k`` for arc k and to
+      ``[r_k, r_{k+1}]`` for gate k; for gate k also the angular bound
+      ``(2/pi) sqrt(rho r_k) | |arg z| - phi_k |``; and for arc k, whose
+      nearest point is an endpoint where ``|arg z| > psi_k``, the angular
+      bound ``(2/pi) sqrt(rho r_k) (|arg z| - psi_k)``, the same
+      inequality.  Both follow from ``|z - t e^{ia}| >= 2 sqrt(|z| t)
+      sin(|arg z - a| / 2)`` and ``sin(x / 2) >= x / pi`` on [0, pi].
+    - Every arc and gate but the covering arc is evaluated only where its
+      lower bounds are at most the upper bound plus ``64 eps (rho + M)``.
+      The computed bounds and distances err by a few ulps of ``rho + M``
+      each, well within this slack, so a feature skipped at a point is
+      strictly farther there than the nearest one and can neither win nor
+      tie.
+
+    The result is the least evaluated distance, the outer circle's and the
+    covering arc's included.  Each is the floating-point expression of a
+    scan over every feature, both gates of a pair and both endpoints of an
+    arc included: folding ``z`` into the upper half-plane would skip one of
+    each, but moves near-tied distances by an ulp.  So for finite ``z`` the
+    result is that scan's distance bit for bit.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    return _distance(flat, np.abs(flat), d).reshape(z.shape)
+
+
+def nearest_feature(z: np.ndarray, d: Domain, dist: np.ndarray | None = None):
+    """The nearest boundary feature of points ``z``: arrays ``(kind_code,
+    index, modulus)``, where kind_code indexes ``KINDS`` and modulus is
+    that of the feature's nearest point.  Arc k and gate k both start at
     ``radii[k]``; the outer circle has index n.
 
-    The query is exact but evaluates a feature only at the points where it
-    can be nearest.  With ``rho = |z|`` and ``M`` the outer radius:
-
-    - The outer circle and the arc nearest to ``rho`` in radius are
-      evaluated at every point; the nearer of the two bounds the nearest
-      distance from above.
-    - Lower bounds: the radial gap from ``rho`` to ``r_k`` for arc k and to
-      ``[r_k, r_{k+1}]`` for gate k, and for gate k also the angular bound
-      ``(2/pi) sqrt(rho r_k) | |arg z| - phi_k |``, which follows from
-      ``|z - t e^{ia}| >= 2 sqrt(|z| t) sin(|arg z - a| / 2)``.
-    - Any other feature is evaluated only where its lower bounds are at
-      most the upper bound plus ``64 eps (rho + M)``.  The computed bounds
-      and distances err by a few ulps of ``rho + M`` each, well within
-      this slack, so a feature skipped at a point is strictly farther
-      there than the nearest one and can neither win nor tie.
-
-    Each evaluated distance is the floating-point expression of a scan over
-    every feature, both gates of a pair and both endpoints of an arc
-    included: folding ``z`` into the upper half-plane would skip one of
-    each, but moves near-tied distances by an ulp.  The least distance
+    ``dist`` is ``nearest_boundary(z, d)`` when the caller has it, as a
+    walk does at its exit points; it is computed otherwise.  The features
+    are those of ``nearest_boundary``'s candidate search with ``dist`` plus
+    the same slack as threshold: every feature at distance ``dist`` passes
+    it.  Ties resolve as in a scan over every feature: the least distance
     wins, ties going to the first of arcs 0..n-1, gates 0..n-1 and the
     outer circle, so for finite ``z`` the result is that scan's bit for
     bit.
@@ -281,61 +382,27 @@ def nearest_boundary(z: np.ndarray, d: Domain):
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = z.ravel()
-    radii, psis, gate_phi = d.radii, d.psis, d.phis
-    n, g = len(radii) - 1, len(gate_phi)
+    radii = d.radii
+    n, g = len(radii) - 1, len(d.phis)
     M = radii[n]
-
     rho = np.abs(z)
-    best_d = M - rho
-    np.abs(best_d, out=best_d)
+    dist = _distance(z, rho, d) if dist is None else np.ravel(dist)
     # Feature f is arc f for f < n, gate f - n for n <= f < n + g and the
     # outer circle for f = n + g.
     best_f = np.full(z.shape, n + g)
     best_mod = np.full(z.shape, M, dtype=float)
     if n:
-        r, psi = radii[:n], psis[:n]
-        ends = r * np.exp(1j * psi)
-        ang = np.abs(np.angle(z))
-        # The arc nearest in radius, at every point.
-        k = ((r[:-1, None] + r[1:, None]) / 2 < rho).sum(axis=0, dtype=np.int32)
-        dist_k = _arc_distance(z, rho, ang, r[k], psi[k], ends[k])
-        arc_won = dist_k <= best_d
-        np.minimum(best_d, dist_k, out=best_d)
-        best_f = np.where(arc_won, k, best_f)
-        best_mod = np.where(arc_won, r[k], best_mod)
-
-        # Every other feature, at the points its lower bounds allow.
-        thr = best_d + _SLACK * (rho + M)
-        below, above = rho - thr, rho + thr
-        arcs = (r[:, None] >= below) & (r[:, None] <= above)
-        arcs[k, np.arange(z.size)] = False
-        fa, pa = np.divmod(np.flatnonzero(arcs), z.size)
-        gates = (radii[1:g + 1, None] >= below) & (radii[:g, None] <= above)
-        kg, pg = np.divmod(np.flatnonzero(gates), z.size)
-        keep = np.flatnonzero(2 / np.pi * np.sqrt(rho[pg] * radii[kg])
-                              * np.abs(ang[pg] - gate_phi[kg]) <= thr[pg])
-        kg, pg = kg[keep], pg[keep]
-        dist_a = _arc_distance(z[pa], rho[pa], ang[pa], r[fa], psi[fa], ends[fa])
-        dist_g, mod_g = _gate_distance(z[pg], radii[kg], radii[kg + 1],
-                                       np.exp(-1j * gate_phi)[kg])
-        dist = np.concatenate([dist_a, dist_g])
-        mod = np.concatenate([r[fa], mod_g])
-        p = np.concatenate([pa, pg])
-        f = np.concatenate([fa, kg + n])
-
-        # Least distance per point, then the first feature at it.
-        bound = best_d.copy()
-        np.minimum.at(best_d, p, dist)
-        best_f[best_d < bound] = n + g
-        tied = np.flatnonzero(dist == best_d[p])
+        p, f, dist_c, mod_c = _candidates(z, rho, np.abs(np.angle(z)),
+                                          dist + _SLACK * (rho + M), d)
+        # The first feature at the least distance, the outer circle last.
+        tied = np.flatnonzero(dist_c == dist[p])
         np.minimum.at(best_f, p[tied], f[tied])
         won = tied[f[tied] == best_f[p[tied]]]
-        best_mod[p[won]] = mod[won]
-
+        best_mod[p[won]] = mod_c[won]
     kinds = np.repeat(np.array([ARC, GATE, OUTER], dtype=np.int8), (n, g, 1))
     index = np.concatenate([np.arange(n), np.arange(g), [n]])
-    return (best_d.reshape(shape), kinds[best_f].reshape(shape),
-            index[best_f].reshape(shape), best_mod.reshape(shape))
+    return (kinds[best_f].reshape(shape), index[best_f].reshape(shape),
+            best_mod.reshape(shape))
 
 
 def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:
@@ -353,8 +420,7 @@ def is_interior(z: np.ndarray, d: Domain) -> np.ndarray:
     for k in range(len(gate_phi)):
         pocket = (rho > radii[k]) & (rho < radii[k + 1]) & (ang < gate_phi[k])
         ok &= ~pocket
-    d0, _, _, _ = nearest_boundary(z, d)
-    ok &= d0 > 0.0
+    ok &= nearest_boundary(z, d) > 0.0
     return ok
 
 

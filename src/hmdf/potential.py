@@ -124,18 +124,24 @@ class ExitEnsemble:
     steps: int = 0
 
 
-def _nearest(dom: WosDomain, z: np.ndarray):
+def _distance(dom: WosDomain, z: np.ndarray) -> np.ndarray:
+    """The walk step query: the distance from ``z`` to the boundary."""
+    if isinstance(dom, OffCenterDisk):
+        return dom.radius - np.abs(z - dom.center)
+    return geometry.nearest_boundary(z, dom)
+
+
+def _feature(dom: WosDomain, z: np.ndarray, dist: np.ndarray):
+    """Kind code, index and modulus of the nearest boundary feature at the
+    exit points ``z``, whose distances ``dist`` the steps took."""
     if isinstance(dom, OffCenterDisk):
         w = z - dom.center
         aw = np.abs(w)
-        dist = dom.radius - aw
         with np.errstate(invalid="ignore", divide="ignore"):
             bp = dom.center + dom.radius * np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 1.0)
-        mod = np.abs(bp)
-        kinds = np.full(z.shape, geometry.OUTER, dtype=np.int8)
-        idx = np.zeros(z.shape, dtype=np.int64)
-        return dist, kinds, idx, mod
-    return geometry.nearest_boundary(z, dom)
+        return (np.full(z.shape, geometry.OUTER, dtype=np.int8),
+                np.zeros(z.shape, dtype=np.int64), np.abs(bp))
+    return geometry.nearest_feature(z, dom, dist)
 
 
 def _check_interior(dom: WosDomain, z0: complex) -> None:
@@ -156,6 +162,9 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
 
     Walks jump to a uniform point of the largest inscribed circle until
     they enter the epsilon shell; the nearest feature there is the exit.
+    Each step asks only for the distance (``geometry.nearest_boundary``);
+    each batch names the features of its own exits at its end, in one
+    ``geometry.nearest_feature`` query over its exit points only.
     Batches are seeded as (seed, batch_index) and each writes its own slice
     of the result, so results depend only on (seed, n_samples): an ensemble
     of several batches runs them on up to the usable cores, byte-identical
@@ -171,7 +180,7 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     moduli = np.empty(n_samples, dtype=float)
     done_mask = np.zeros(n_samples, dtype=bool)
     # Every walk starts at z0: one query serves the first step of all.
-    start = _nearest(dom, np.full(1, complex(z0)))
+    start = _distance(dom, np.full(1, complex(z0)))
 
     def walk(batch: int) -> tuple[int, int]:
         """Walk one batch into its slice; return its discards and steps."""
@@ -180,20 +189,22 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
         rng = np.random.default_rng([config.seed, batch])
         z = np.full(b, complex(z0))
         alive = np.arange(b)
+        exit_z = np.empty(b, dtype=complex)
+        exit_d = np.empty(b, dtype=float)
+        done = np.zeros(b, dtype=bool)
         steps = b
         for step in range(config.max_steps):
             if step:
-                dist, kk, ii, mm = _nearest(dom, z)
+                dist = _distance(dom, z)
                 steps += z.size
             else:
-                dist, kk, ii, mm = (np.repeat(a, b) for a in start)
+                dist = np.repeat(start, b)
             hit = dist < eps_abs
             if hit.any():
-                sel = lo + alive[hit]
-                kinds[sel] = kk[hit]
-                indices[sel] = ii[hit]
-                moduli[sel] = mm[hit]
-                done_mask[sel] = True
+                sel = alive[hit]
+                exit_z[sel] = z[hit]
+                exit_d[sel] = dist[hit]
+                done[sel] = True
                 keep = ~hit
                 z = z[keep]
                 alive = alive[keep]
@@ -204,6 +215,12 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
             if reflect:
                 u = -u
             z = z + dist * np.exp(2j * math.pi * u)
+        # The batch's exits name their features in one query.
+        out = np.flatnonzero(done)
+        sel = lo + out
+        kinds[sel], indices[sel], moduli[sel] = _feature(dom, exit_z[out],
+                                                         exit_d[out])
+        done_mask[sel] = True
         return alive.size, steps
 
     n_batches = -(-n_samples // _BATCH)

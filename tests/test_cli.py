@@ -227,6 +227,14 @@ class TestExitCodes:
         r = run_cli(["compute", "--domain", str(p), "--engine", "fd"])
         assert r.returncode == 3
 
+    def test_samples_past_memory_exit_three(self, files):
+        # the first allocation of 10^13 walks fails at once, before any walk
+        r = run_cli(["compute", "--domain", files["dom"], "--engine", "wos",
+                     "--samples", "10000000000000"])
+        assert r.returncode == 3
+        assert r.stderr.startswith("engine error: Unable to allocate")
+        assert r.stderr.count("\n") == 1 and r.stdout == ""
+
     def test_nonconvergence_exits_four(self, files):
         r = run_cli(["invert", "--function", files["step"],
                      "--tol", "1e-18", "--resolution", "96",
@@ -512,6 +520,14 @@ _GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
          {**_GOOD, "HMDF_RESOLUTION": "0"})
 @example(_COMMANDS[0], {"kind": "offcenter-disk", "center": [0.5], "radius": 1.0},
          _STEP, _GOOD)
+# a walk count past the memory ended in a MemoryError traceback (exit 1);
+# its first allocation fails at once, before any walk
+@example(_COMMANDS[0], _CIRCLE, _STEP,
+         {**_GOOD, "HMDF_ENGINE": "wos", "HMDF_SAMPLES": "10000000000000"})
+@example(_COMMANDS[3], _CIRCLE,
+         {"kind": "candidate", "breakpoints": [1.0, 2.0], "values": [0.5, 1.0],
+          "segments": ["linear"]},
+         {**_GOOD, "HMDF_SAMPLES": "10000000000000"})
 @given(st.sampled_from(_COMMANDS), st.one_of(_domain_data(), _NON_OBJECTS),
        st.one_of(_function_data(), _NON_OBJECTS), _ENV)
 def test_fuzzed_inputs_exit_with_documented_codes(command, dom, fn, env):

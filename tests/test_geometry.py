@@ -51,15 +51,16 @@ class TestNearestBoundary:
         z = (rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400))
         z = z[geometry.is_interior(z, blocked_example)]
         assert len(z) > 100
-        dist, _, _, _ = geometry.nearest_boundary(z, blocked_example)
+        dist = geometry.nearest_boundary(z, blocked_example)
         brute = np.array([np.min(np.abs(zz - bnd)) for zz in z])
         assert np.all(dist <= brute + 1e-12)
         assert np.all(brute <= dist + spacing)
 
     def test_plain_disk(self):
         d = CircleDomain.disk(2.0)
-        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
-            np.array([0.5 + 0.5j]), d)
+        z = np.array([0.5 + 0.5j])
+        (dist,) = geometry.nearest_boundary(z, d)
+        (kind,), (index,), (modulus,) = geometry.nearest_feature(z, d)
         assert dist == pytest.approx(2.0 - abs(0.5 + 0.5j))
         assert (kind, index, modulus) == (OUTER, 0, 2.0)
 
@@ -67,17 +68,18 @@ class TestNearestBoundary:
         d = CircleDomain.from_arrays([1.0, 2.0], [0.5, math.pi])
         # point just beyond the arc endpoint: nearest is the endpoint
         z = 1.0 * np.exp(1j * 0.7)
-        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
-            np.array([z]), d)
+        (dist,) = geometry.nearest_boundary(np.array([z]), d)
+        (kind,), (index,), (modulus,) = geometry.nearest_feature(np.array([z]), d)
         end = np.exp(1j * 0.5)
         assert dist == pytest.approx(abs(z - end))
         assert (kind, index, modulus) == (ARC, 0, 1.0)
 
     def test_gate_clamping(self, blocked_example):
         # point radially inside the gate span, near the +phi gate
-        z = 1.2 * np.exp(1j * 0.35)
-        (dist,), (kind,), (index,), (modulus,) = geometry.nearest_boundary(
-            np.array([z]), blocked_example)
+        z = np.array([1.2 * np.exp(1j * 0.35)])
+        (dist,) = geometry.nearest_boundary(z, blocked_example)
+        (kind,), (index,), (modulus,) = geometry.nearest_feature(
+            z, blocked_example)
         assert (kind, index) == (GATE, 0)
         # distance to infinite line through angle 0.3 at this radius, from
         # the gate point at the same radial coordinate
@@ -259,8 +261,10 @@ def adversarial_points(d, seed):
     """Points where the nearest feature is close to a tie: arc endpoints
     nudged by an ulp or so, whole circles of radius r_k, the gate rays and
     their extensions, the real axis with both signs of zero (through the
-    radii and, nudged, the midpoints between them), the origin, and random
-    points inside and just outside the disk."""
+    radii and, nudged, the midpoints between them), the origin, points
+    inside r_0 at angles just past each psi_k (where the covering arc sets
+    the pruning threshold), and random points inside and just outside the
+    disk."""
     rng = np.random.default_rng(seed)
     radii, psis, phis = d.radii, d.psis, d.phis
     M = radii[-1]
@@ -270,6 +274,10 @@ def adversarial_points(d, seed):
            np.outer(radii, np.exp(1j * rng.uniform(-math.pi, math.pi, 8))).ravel(),
            np.outer(radii, np.exp(1j * np.concatenate([psis, -psis]))).ravel(),
            [0j, complex(0.0, -0.0)]]
+    past = np.outer(np.concatenate([psis, -psis]), nudge[[0, 2, 4]]).ravel()
+    past = np.concatenate([past, past + 1e-9, past + 1e-3])
+    pts.append(np.outer(radii[0] * np.array([0.5, 0.99, 1 - 1e-15]),
+                        np.exp(1j * past)).ravel())
     mids = np.outer((radii[:-1] + radii[1:]) / 2, nudge).ravel()
     axis = np.concatenate([radii, mids, -radii, rng.uniform(-M, M, 8)])
     pts.append(axis + 0j)
@@ -291,12 +299,27 @@ def adversarial_points(d, seed):
 @example(BlockedCircleDomain(CircleDomain.from_arrays([1.0, 1.4, 2.0],
                                                       [1.1, 0.7, math.pi]),
                              (0.3, 0.0)), 1)
+# The shape of the jump-ramp n = 16 stage: 16 arcs within 0.1 in radius,
+# psi increasing, every gate inset by kappa_16 below its inner arc.
+@example(BlockedCircleDomain(
+    CircleDomain.from_arrays([1.0 + 0.0062 * k for k in range(17)],
+                             [1.52 + 0.1 * k for k in range(16)] + [math.pi]),
+    tuple(1.52 + 0.1 * k - 0.0172 for k in range(16))), 2)
+# psi not monotone, so the running maximum of psi differs from psi.
+@example(BlockedCircleDomain(
+    CircleDomain.from_arrays([1.0, 1.2, 1.4, 1.6, 2.0],
+                             [2.0, 0.5, 2.5, 1.0, math.pi]),
+    (0.3, 0.2, 0.0, 0.5)), 3)
 def test_nearest_boundary_matches_full_scan(d, seed):
-    """The pruned query returns the full scan's four arrays bit for bit."""
+    """The distance query returns the full scan's distance, and the
+    feature query its kind, index and modulus, bit for bit; the feature
+    query gives the same given the distance or not."""
     z = adversarial_points(d, seed)
-    got = geometry.nearest_boundary(z, d)
+    dist = geometry.nearest_boundary(z, d)
     want = scan_nearest_boundary(z, d)
-    for g, w in zip(got, want):
+    got = (dist, *geometry.nearest_feature(z, d))
+    given_dist = geometry.nearest_feature(z, d, dist)
+    for g, w in zip(got + given_dist, want + want[1:]):
         assert g.dtype == w.dtype and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
         assert g.tobytes() == w.tobytes()
@@ -308,7 +331,8 @@ def test_distance_lipschitz_and_symmetric(d, a, b):
     M = d.outer_radius
     z = np.array([complex(a, b) * M, complex(a, -b) * M, 0.4 * M * a + 0j])
     inside = geometry.is_interior(z, d)
-    dist, kind, idx, _ = geometry.nearest_boundary(z, d)
+    dist = geometry.nearest_boundary(z, d)
+    kind, idx, _ = geometry.nearest_feature(z, d)
     # reflection symmetry: z and conj(z) see the same feature at the same
     # distance
     if inside[0] and inside[1]:

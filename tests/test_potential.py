@@ -118,7 +118,17 @@ class TestWos:
         assert np.array_equal(e1.indices, e2.indices)
 
     @staticmethod
-    def _golden_digest(n_samples):
+    def _digest(dom, n_samples, seed):
+        """Counts of a seeded ensemble on ``dom`` and the digest of its
+        bytes."""
+        ens = wos_exit_ensemble(dom, 0.0, n_samples, WosConfig(seed=seed))
+        digest = hashlib.sha256()
+        for a in (ens.kinds, ens.indices, ens.moduli):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        return ens.sample_count, ens.discard_count, digest.hexdigest()
+
+    @classmethod
+    def _golden_digest(cls, n_samples):
         """Seeded ensemble on a fixed 16-arc blocked domain, with axis gates
         every third channel: its counts and the digest of its bytes."""
         k = np.arange(16)
@@ -127,11 +137,7 @@ class TestWos:
         caps = np.minimum(psis[:-1], psis[1:])
         phis = tuple(0.0 if j % 3 == 0 else 0.5 * float(c) for j, c in enumerate(caps))
         dom = BlockedCircleDomain(CircleDomain.from_arrays(radii, psis), phis)
-        ens = wos_exit_ensemble(dom, 0.0, n_samples, WosConfig(seed=2012))
-        digest = hashlib.sha256()
-        for a in (ens.kinds, ens.indices, ens.moduli):
-            digest.update(np.ascontiguousarray(a).tobytes())
-        return ens.sample_count, ens.discard_count, digest.hexdigest()
+        return cls._digest(dom, n_samples, 2012)
 
     def test_golden_ensemble(self):
         """Pins one seeded one-batch ensemble to the bytes the full feature
@@ -147,6 +153,56 @@ class TestWos:
         assert self._golden_digest(n) == (
             n, 0,
             "36a9bef45dc9a8f342401ea35d280ba62975652ac0882b3d3ea3b483cb2f01a5")
+
+    # The n = 16 blocked domain of the benchmark's construct workload
+    # (jump-ramp at resolution 512, psi rounded; kappa_16 = 0.0172): 16
+    # arcs within 0.1 in radius, psi increasing, gates inset by kappa_16.
+    _CONSTRUCT_16_PSIS = (
+        1.5201, 1.6141, 1.7101, 1.8061, 1.9033, 2.0018, 2.0999, 2.1996,
+        2.2994, 2.3998, 2.5009, 2.6026, 2.7052, 2.8087, 2.9135, 3.0207)
+    _CONSTRUCT_16 = BlockedCircleDomain(
+        CircleDomain.from_arrays([1.0 + 0.0062 * k for k in range(17)],
+                                 _CONSTRUCT_16_PSIS + (math.pi,)),
+        tuple(p - 0.0172 for p in _CONSTRUCT_16_PSIS))
+
+    @pytest.mark.parametrize("n_samples, want", [
+        (10_000, "548666a3103f417cb935b2bf1e91615cadfbc110e6e8913a929900196d0b4f59"),
+        (2 * potential._BATCH + 100,
+         "e2273425bf0fbc7a8e95338c65c3740f3fbd0eb4835119cde9d685067b56b29d")],
+        ids=["one_batch", "three_batches"])
+    def test_golden_ensemble_on_construct_stage(self, n_samples, want):
+        """Pins seeded ensembles on the construct stage's domain to the
+        bytes each step's full feature query gave, before the steps asked
+        for the distance alone."""
+        assert self._digest(self._CONSTRUCT_16, n_samples, 11) == (
+            n_samples, 0, want)
+
+    def test_features_resolved_once_per_batch_at_its_exits(self, monkeypatch):
+        calls = []
+        feature = geometry.nearest_feature
+
+        def recording(z, d, dist=None):
+            calls.append((threading.current_thread(), z.copy(), dist.copy()))
+            return feature(z, d, dist)
+
+        monkeypatch.setattr(geometry, "nearest_feature", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        dom = self._CONSTRUCT_16
+        n = 2 * potential._BATCH + 100
+        eps = WosConfig().epsilon * dom.outer_radius
+        ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=11, max_steps=40))
+        assert ens.discard_count > 0  # discarded walks are never resolved
+        assert len(calls) == 3
+        assert sum(z.size for _, z, _ in calls) == ens.sample_count
+        for _, z, dist in calls:
+            # exit points only, with the distances their last step took
+            assert np.all(dist < eps)
+            assert dist.tobytes() == geometry.nearest_boundary(z, dom).tobytes()
+        assert all(t is not threading.main_thread() for t, _, _ in calls)
+        # the threads may end in any order: compare the exits as sets
+        z = np.concatenate([z for _, z, _ in calls])
+        assert np.array_equal(np.sort(ens.moduli), np.sort(feature(z, dom)[2]))
 
     @pytest.mark.parametrize("max_steps, reflect", [
         (10_000, False),
