@@ -29,8 +29,8 @@ import time
 import numpy as np
 
 from hmdf import fd, hfunction
-from hmdf.construct import (WARM_STARTS, SolveError, SolveSettings,
-                            solve_circle_domain)
+from hmdf.construct import (_MAX_SWEEPS, WARM_STARTS, SolveError,
+                            SolveSettings, solve_circle_domain)
 from hmdf.hfunction import StepH
 
 RAMP_N = (2, 4, 8, 16, 32, 64)  # jump-ramp stages at the default settings
@@ -58,7 +58,7 @@ def evaluations(name: str, steps: StepH, settings: SolveSettings):
         res = solve_circle_domain(steps, settings)
     except SolveError as err:
         print(f"{name:<32} {err}")
-        return None, settings.max_sweeps
+        return None, _MAX_SWEEPS
     sec = time.perf_counter() - t0
     solver = fd.FdSolver(res.domain, n_theta=settings.resolution)
     fresh = np.abs(np.cumsum(solver.arc_measures())

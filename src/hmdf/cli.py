@@ -231,8 +231,10 @@ def _env(name: str, cast, default, choices=None):
 
 
 ENGINES = ("wos", "fd")  # of compute; the other commands invert with fd
-_SHARED = {"samples": (int, 100_000), "eps": (float, 1e-5), "seed": (int, 0),
-           "resolution": (int, 512), "tol": (float, 1e-3)}
+_SOLVE = construct.SolveSettings
+_SHARED = {"samples": (int, 100_000), "eps": (float, _SOLVE.epsilon),
+           "seed": (int, _SOLVE.seed), "resolution": (int, _SOLVE.resolution),
+           "tol": (float, _SOLVE.tol)}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)  # HMDF_* defaults are read here
         return handlers[args.command](args)
-    except (InputError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InputError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except construct.SolveError as exc:

@@ -36,7 +36,6 @@ __all__ = [
     "StageReport",
     "ConstructionReport",
     "run_pipeline",
-    "boundary_profile",
 ]
 
 # The values of SolveSettings.warm_start.
@@ -46,6 +45,10 @@ _PSI_MAX = math.pi - 1e-4
 # Below this sup residual the measures move by rounding only (about 1e-15
 # at convergence), so further steps cannot improve the angles.
 _SUP_FLOOR = 1e-12
+# Budget of fd measure evaluations per inversion, both levels together.
+_MAX_SWEEPS = 60
+# The epsilon levels of ulc_diagnostics.
+_ULC_EPS = (0.5, 0.25, 0.1)
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,15 @@ class SolveSettings:
     """Knobs for the inversion loop and the pipeline's measurements.
 
     ``warm_start`` picks the first half-arclengths: ``"profile"`` puts arc
-    k at pi F_k, F_k the step value after it, which is the angle at r_k of
-    the paper's limit boundary theta = pi f(r) (``boundary_profile``);
-    ``"proportional"`` at pi times its jump; ``"uniform"`` every arc at
-    pi/3.
+    k at psi_k = pi F_k, F_k the step value after it; ``"proportional"``
+    at pi times its jump; ``"uniform"`` every arc at pi/3.
     """
 
     engine: str = "fd"          # the only inversion engine
     resolution: int = 512       # fd angular resolution
     tol: float = 1e-3           # sup-norm cumulative-measure tolerance
-    max_sweeps: int = 60        # budget of measure evaluations
-    epsilon: float = 1e-5       # WoS verification of run_pipeline
-    seed: int = 0               # WoS verification of run_pipeline
+    epsilon: float = WosConfig.epsilon  # WoS verification of run_pipeline
+    seed: int = WosConfig.seed          # WoS verification of run_pipeline
     warm_start: str = "profile"  # see WARM_STARTS
 
     def __post_init__(self):
@@ -72,8 +72,6 @@ class SolveSettings:
             raise ValueError(f"unknown engine {self.engine!r}; expected fd")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
         if self.warm_start not in WARM_STARTS:
             raise ValueError(f"unknown warm start {self.warm_start!r}; "
                              f"expected {', '.join(WARM_STARTS)}")
@@ -117,19 +115,20 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     """Find a circle domain whose h-function is the given step function:
     the arc radii are the jump radii, the last one the outer circle.
 
-    The loop starts from ``settings.warm_start``.  The default, the limit
-    profile, lies close to the answer for fine step approximations: the
+    The loop starts from ``settings.warm_start``.  The default, psi_k =
+    pi F_k, lies close to the answer for fine step approximations: the
     jump-ramp stages n = 2 to 32 converge in 4 or 5 evaluations each, and
     n = 64 in about 10.
 
-    Each step of the loop costs one fd measure evaluation.  Damped sweeps,
-    each arc stepped by its own cumulative residual over the matching
-    diagonal entry of the Jacobian, bring the cumulative measures close;
-    below a residual of 0.02 the loop takes Newton steps with the exact
-    Jacobian of each evaluation, which resolve the inter-arc coupling the
-    sweeps cannot.  Each level freezes the grid's filler-ray counts at its
-    first evaluation and keeps them until ``fd.filler_counts`` re-freezes
-    them (feature rays merged or separated, or a cell grown past 4 h), so
+    Each step of the loop costs one fd measure evaluation, of a budget of
+    ``_MAX_SWEEPS``.  Damped sweeps, each arc stepped by its own cumulative
+    residual over the matching diagonal entry of the Jacobian, bring the
+    cumulative measures close; below a residual of 0.02 the loop takes
+    Newton steps with the exact Jacobian of each evaluation, which resolve
+    the inter-arc coupling the sweeps cannot.  Each level freezes the
+    grid's filler-ray counts at its first evaluation and hands them to
+    every later ``fd.FdSolver`` as ``frozen``, which keeps them while they
+    fit (no feature rays merged or separated, no cell grown past 4 h), so
     the map the loop inverts is smooth and that Jacobian is its exact
     derivative.
 
@@ -145,7 +144,7 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     """
     radii = np.array(steps.radii)
     n = len(radii) - 1  # proper arcs
-    tol, budget, res = settings.tol, settings.max_sweeps, settings.resolution
+    tol, budget, res = settings.tol, _MAX_SWEEPS, settings.resolution
     if n == 0:
         return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, 0, True,
                            math.nan, ())
@@ -162,8 +161,7 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
         residual and filler counts at ``psis`` on the fd grid at
         ``resolution`` whose ``counts`` stay frozen while they fit."""
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        solver = fd.FdSolver(dom, n_theta=resolution,
-                             counts=fd.filler_counts(dom, resolution, counts))
+        solver = fd.FdSolver(dom, n_theta=resolution, frozen=counts)
         cum = np.cumsum(solver.arc_measures())
         sup = float(np.abs(targets - cum).max())
         trace.append((resolution, sup))
@@ -273,9 +271,8 @@ class UlcCheck:
         return self.theta_ok and self.radius_ok
 
 
-def ulc_diagnostics(dom: BlockedCircleDomain, alpha: float,
-                    eps_list=(0.5, 0.25, 0.1)) -> list[UlcCheck]:
-    """For each epsilon: delta1 from the inverse chi supremum, delta2 from
+def ulc_diagnostics(dom: BlockedCircleDomain, alpha: float) -> list[UlcCheck]:
+    """For each epsilon of ``_ULC_EPS``: delta1 from the inverse chi supremum, delta2 from
     the arc-depth rule; verify on every arc pair (j, k) that radius gap
     below delta1 forces gate depth theta_{j,k} below epsilon, and on every
     arc that angular depth below delta2 forces radial depth below epsilon."""
@@ -283,7 +280,7 @@ def ulc_diagnostics(dom: BlockedCircleDomain, alpha: float,
     mu, M = dom.mu, dom.outer_radius
     n = len(radii) - 1
     out = []
-    for eps in eps_list:
+    for eps in _ULC_EPS:
         delta1 = bounds.chi_inf_inverse(eps / 2.0, alpha, mu, M) if alpha > 0 else 0.0
         delta2 = alpha * math.pi * eps / (M - mu) if M > mu else math.pi
         theta_ok, worst_theta = True, 0.0
@@ -431,25 +428,3 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     return ConstructionReport(check, tuple(stages), gaps_mono, sigma_ok,
                               ulc_ok, verdict)
 
-
-def boundary_profile(f: CandidateH, n_theta: int = 720) -> np.ndarray:
-    """Polar profile of the limiting boundary curve implied by f: the point
-    at angle theta has modulus given by the completed-graph inverse of f at
-    |theta|/pi.  Returns an (n_theta, 2) array of (theta, r)."""
-    b = list(f.breakpoints)
-    v = [hfunction.evaluate(f, x) for x in b]
-    ys, rs = [0.0], [f.mu]
-    for i, (x, val) in enumerate(zip(b, v)):
-        ll = hfunction.left_limit(f, i)
-        if ll > ys[-1]:
-            ys.append(ll)
-            rs.append(x)
-        if val > ll:  # jump: vertical graph segment, flat inverse
-            ys.append(val)
-            rs.append(x)
-    if ys[-1] < 1.0:
-        ys.append(1.0)
-        rs.append(f.M)
-    thetas = np.linspace(-math.pi, math.pi, n_theta)
-    r = np.interp(np.abs(thetas) / math.pi, ys, rs)
-    return np.column_stack([thetas, r])

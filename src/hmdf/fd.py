@@ -8,9 +8,10 @@ ceil(gap / h) by default, h = 2 pi / n_theta.  At fixed counts every ray,
 and the measure of each arc, moves smoothly with the feature angles; when
 a gap crosses a multiple of h its default count changes and the measure
 jumps (by up to 1.8e-3 at n_theta = 256 on a 32-arc domain).  So
-``FdSolver`` takes the counts as a keyword, ``filler_counts`` freezes
-them for an inversion, and ``FdSolver.arc_measure_jacobian`` is the exact
-derivative of the measures at the counts of the grid solved.
+``FdSolver`` takes the counts of an earlier grid as its ``frozen`` hint
+and keeps them while they fit, which freezes them for an inversion, and
+``FdSolver.arc_measure_jacobian`` is the exact derivative of the measures
+at the counts of the grid solved.
 
 Every circle-type domain is symmetric about the real axis, and so is the
 harmonic measure at the origin.  The grid therefore covers only the mirror
@@ -44,7 +45,7 @@ from scipy.sparse.linalg import splu
 from . import geometry
 from .geometry import ARC, GATE, KINDS, OUTER
 
-__all__ = ["FdSolver", "MIN_N_THETA", "filler_counts"]
+__all__ = ["FdSolver", "MIN_N_THETA"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 _MATCH = 2e-9   # membership tolerance against merged rays / rings
@@ -66,20 +67,11 @@ def _feature_rays(d) -> list[float]:
     return merged
 
 
-def _check_resolution(n_theta) -> int:
-    """``n_theta`` as an int, or ValueError below ``MIN_N_THETA``."""
-    if int(n_theta) < MIN_N_THETA:
-        raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
-                         f"got {n_theta}")
-    return int(n_theta)
-
-
-def filler_counts(d, n_theta: int, frozen=None) -> tuple[int, ...]:
-    """The cell count of each gap between the feature rays of ``d``: the
+def _filler_counts(merged, n_theta: int, frozen) -> tuple[int, ...]:
+    """The cell count of each gap between the feature rays ``merged``: the
     ``frozen`` counts while they fit (no feature rays merged or separated,
     no cell wider than ``_MAX_CELL`` h), else the fresh ceil(gap / h)."""
-    n_theta = _check_resolution(n_theta)
-    gaps = np.diff(_feature_rays(d))
+    gaps = np.diff(merged)
     h = 2.0 * math.pi / n_theta
     if (frozen is not None and len(frozen) == len(gaps)
             and np.all(gaps <= _MAX_CELL * h * np.asarray(frozen))):
@@ -87,20 +79,15 @@ def filler_counts(d, n_theta: int, frozen=None) -> tuple[int, ...]:
     return tuple(max(1, math.ceil(g / h)) for g in gaps)
 
 
-def _angular_rays(d, n_theta: int, counts=None):
+def _angular_rays(d, n_theta: int, frozen):
     """Half-circle angle list on [0, pi]: the feature rays plus even
-    filler, ``counts[i]`` cells in gap i (fresh ``filler_counts`` if None).
+    filler, ``counts[i]`` cells in gap i, with the counts of
+    ``_filler_counts``.
 
     Returns the angles, per ray its fraction t along the interval between
     the feature rays around it (t = 0 on them), and the counts."""
     merged = _feature_rays(d)
-    if counts is None:
-        counts = filler_counts(d, n_theta)
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != len(merged) - 1 or min(counts) < 1:
-        raise ValueError(f"need one filler count >= 1 for each of the "
-                         f"{len(merged) - 1} gaps between feature rays, "
-                         f"got {counts}")
+    counts = _filler_counts(merged, n_theta, frozen)
     out, t = [], []
     for a, b, n_sub in zip(merged, merged[1:], counts):
         for s in range(n_sub):
@@ -138,18 +125,23 @@ class FdSolver:
     Dirichlet node: the sum of the full-circle weights of the node and its
     mirror image (just its own weight on the axis rays 0 and pi), so
     feature sums and ``weight_sum`` cover the whole boundary.
-    ``counts`` (see ``filler_counts``) sets the cells of each gap between
-    feature rays; ``self.counts`` holds the counts used.
+    ``self.counts`` holds the cell count of each gap between feature rays:
+    the ``frozen`` counts (an earlier solver's ``counts``) while they fit,
+    else the fresh ceil(gap / h).  Raises ValueError for an ``n_theta``
+    below ``MIN_N_THETA``.
     """
 
-    def __init__(self, dom: geometry.Domain, n_theta: int = 512, counts=None):
-        self.n_theta = _check_resolution(n_theta)
+    def __init__(self, dom: geometry.Domain, n_theta: int = 512, frozen=None):
+        if int(n_theta) < MIN_N_THETA:
+            raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
+                             f"got {n_theta}")
+        self.n_theta = int(n_theta)
         self.domain = dom
         self._radii = dom.radii
         self._psis = dom.psis
         self._phis = dom.phis
         self.thetas, self._ray_t, self.counts = _angular_rays(
-            dom, self.n_theta, counts)
+            dom, self.n_theta, frozen)
         self.rho = _ring_radii(dom, self.n_theta)
         self._label()
         self._assemble_and_solve()

@@ -145,11 +145,6 @@ class CircleDomain:
         return _frozen([a.half_arclength for a in self.arcs])
 
     @property
-    def n_arcs(self) -> int:
-        """Number of proper (non-outer) arcs."""
-        return len(self.arcs) - 1
-
-    @property
     def mu(self) -> float:
         return self.arcs[0].radius
 
@@ -364,17 +359,16 @@ def nearest_boundary(z: np.ndarray, d: Domain) -> np.ndarray:
     return _distance(flat, np.abs(flat), d).reshape(z.shape)
 
 
-def nearest_feature(z: np.ndarray, d: Domain, dist: np.ndarray | None = None):
+def nearest_feature(z: np.ndarray, d: Domain, dist: np.ndarray):
     """The nearest boundary feature of points ``z``: arrays ``(kind_code,
     index, modulus)``, where kind_code indexes ``KINDS`` and modulus is
     that of the feature's nearest point.  Arc k and gate k both start at
     ``radii[k]``; the outer circle has index n.
 
-    ``dist`` is ``nearest_boundary(z, d)`` when the caller has it, as a
-    walk does at its exit points; it is computed otherwise.  The features
-    are those of ``nearest_boundary``'s candidate search with ``dist`` plus
-    the same slack as threshold: every feature at distance ``dist`` passes
-    it.  Ties resolve as in a scan over every feature: the least distance
+    ``dist`` is ``nearest_boundary(z, d)``, which a walk has in hand at
+    its exit points.  The features are those of ``nearest_boundary``'s
+    candidate search with ``dist`` plus the same slack as threshold: every
+    feature at distance ``dist`` passes it.  Ties resolve as in a scan over every feature: the least distance
     wins, ties going to the first of arcs 0..n-1, gates 0..n-1 and the
     outer circle, so for finite ``z`` the result is that scan's bit for
     bit.
@@ -386,7 +380,7 @@ def nearest_feature(z: np.ndarray, d: Domain, dist: np.ndarray | None = None):
     n, g = len(radii) - 1, len(d.phis)
     M = radii[n]
     rho = np.abs(z)
-    dist = _distance(z, rho, d) if dist is None else np.ravel(dist)
+    dist = np.ravel(dist)
     # Feature f is arc f for f < n, gate f - n for n <= f < n + g and the
     # outer circle for f = n + g.
     best_f = np.full(z.shape, n + g)

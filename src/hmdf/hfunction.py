@@ -28,6 +28,8 @@ __all__ = [
 
 CONSTANT = "constant"
 LINEAR = "linear"
+# Radii of the log grid on which necessary_checks samples a candidate.
+_GRID_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -203,15 +205,15 @@ def beurling_bound(mu: float, r: float) -> float:
     return 1.0 - (4.0 / math.pi) * math.atan(math.sqrt(mu / r))
 
 
-def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
+def necessary_checks(f: CandidateH) -> NecessaryReport:
     """Verify monotonicity, range, and the Milloux/Beurling lower bound for
-    simply connected realizability, on a log grid of radii.  Right-continuity
-    is not checked: ``evaluate`` takes the right value at every breakpoint by
-    construction."""
+    simply connected realizability, on a log grid of ``_GRID_SIZE`` radii.
+    Right-continuity is not checked: ``evaluate`` takes the right value at
+    every breakpoint by construction."""
     # Monotonicity and range are structural for CandidateH, but re-verify on
     # a sample in case of pathological float breakpoints.
     mu, M = f.mu, f.M
-    rs = np.geomspace(mu, M, grid_size + 1)[1:]
+    rs = np.geomspace(mu, M, _GRID_SIZE + 1)[1:]
     vals = evaluate(f, rs)
     monotone = bool(np.all(np.diff(vals) >= -1e-15))
     range_ok = bool(np.all((vals >= 0.0) & (vals <= 1.0)))
@@ -226,7 +228,7 @@ def necessary_checks(f: CandidateH, grid_size: int = 1024) -> NecessaryReport:
         if v < bound - 1e-12:
             first = (r, v, bound)
             break
-    return NecessaryReport(monotone, range_ok, first is None, first, grid_size)
+    return NecessaryReport(monotone, range_ok, first is None, first, _GRID_SIZE)
 
 
 def example_jump_ramp(mu: float = 1.0, gap: float = 0.0992,

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
+# Walks still running after this many steps are discarded and tallied.
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,21 +92,16 @@ WosDomain = Union[CircleDomain, BlockedCircleDomain, OffCenterDisk]
 @dataclass(frozen=True)
 class WosConfig:
     """Walk-on-spheres settings.  ``epsilon`` is the absorbing-shell
-    thickness relative to the outer radius; walks hitting ``max_steps``
-    are discarded from the estimate and tallied.  Raises ValueError
-    unless ``epsilon`` is positive and finite, ``max_steps`` at least 1
-    and ``seed`` nonnegative."""
+    thickness relative to the outer radius.  Raises ValueError unless
+    ``epsilon`` is positive and finite and ``seed`` nonnegative."""
 
     epsilon: float = 1e-5
-    max_steps: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < math.inf):
             raise ValueError(f"epsilon must be positive and finite, "
                              f"got {self.epsilon}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -156,12 +153,12 @@ def _check_interior(dom: WosDomain, z0: complex) -> None:
 
 
 def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000,
-                      config: WosConfig = WosConfig(),
-                      reflect: bool = False) -> ExitEnsemble:
+                      config: WosConfig = WosConfig()) -> ExitEnsemble:
     """Run ``n_samples`` walks from ``z0``.
 
     Walks jump to a uniform point of the largest inscribed circle until
     they enter the epsilon shell; the nearest feature there is the exit.
+    Walks still running after ``_MAX_STEPS`` steps are discarded.
     Each step asks only for the distance (``geometry.nearest_boundary``);
     each batch names the features of its own exits at its end, in one
     ``geometry.nearest_feature`` query over its exit points only.
@@ -169,7 +166,6 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     of the result, so results depend only on (seed, n_samples): an ensemble
     of several batches runs them on up to the usable cores, byte-identical
     to one core.
-    ``reflect`` negates every angular draw (domain symmetry tests).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -193,7 +189,7 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
         exit_d = np.empty(b, dtype=float)
         done = np.zeros(b, dtype=bool)
         steps = b
-        for step in range(config.max_steps):
+        for step in range(_MAX_STEPS):
             if step:
                 dist = _distance(dom, z)
                 steps += z.size
@@ -212,8 +208,6 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
             if z.size == 0:
                 break
             u = rng.random(z.size)
-            if reflect:
-                u = -u
             z = z + dist * np.exp(2j * math.pi * u)
         # The batch's exits name their features in one query.
         out = np.flatnonzero(done)
@@ -285,7 +279,7 @@ def estimate_h(dom: WosDomain, radii: Sequence[float], z0: complex = 0.0,
     m = ens.sample_count
     if m == 0:
         raise RuntimeError(f"no walk reached the boundary: all {n_samples} "
-                           f"hit max_steps={config.max_steps}")
+                           f"hit max_steps={_MAX_STEPS}")
     ests = []
     mod_sorted = np.sort(ens.moduli)
     for r in radii:

@@ -41,11 +41,34 @@ def criterion_5_targets():
     return out
 
 
+def invert_workload_targets(seed):
+    """The benchmark's ``invert`` targets for one seed: ten 3-arc step
+    functions whose first radius, two radius gaps and three jumps are each
+    drawn as a Latin-hypercube column (one value per tenth of its range,
+    shuffled)."""
+    rng = np.random.default_rng(seed)
+    k = 10
+
+    def column(lo, hi):
+        return lo + (hi - lo) * (rng.permutation(k) + rng.random(k)) / k
+
+    radii = np.cumsum(np.stack([column(0.8, 1.2), column(0.2, 0.6),
+                                column(0.2, 0.6)], axis=1), axis=1)
+    jumps = np.stack([column(0.1, 0.5) for _ in range(3)], axis=1)
+    out = []
+    for r, j in zip(radii, jumps):
+        cum = np.cumsum(j) / j.sum()
+        cum[-1] = 1.0
+        out.append(StepH(tuple(float(x) for x in r),
+                         tuple(float(v) for v in cum)))
+    return out
+
+
 class TestSolveCircleDomain:
     def test_single_jump_is_disk(self):
         res = solve_circle_domain(StepH((2.0,), (1.0,)))
         assert res.converged
-        assert res.domain.n_arcs == 0
+        assert len(res.domain.arcs) == 1
         assert res.domain.outer_radius == 2.0
 
     def test_two_jump_frozen_regression(self):
@@ -87,7 +110,7 @@ class TestSolveCircleDomain:
         assert math.isnan(res.fd_error)
 
     def test_jump_ramp_fine_level_evaluations(self):
-        # from the limit profile, exact-Jacobian Newton steps need only a
+        # from psi_k = pi F_k, exact-Jacobian Newton steps need only a
         # few evaluations on the hardest stage of the default pipeline
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         res = solve_circle_domain(steps, SolveSettings(resolution=512))
@@ -133,13 +156,29 @@ class TestSolveCircleDomain:
         assert fresh <= 1e-3
         assert abs(fresh - res.residual) <= res.fd_error
 
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_invert_workload_contract(self, seed):
+        # the benchmark's invert check at its resolution 256: from either
+        # warm start the solution meets tol re-measured on a fresh grid,
+        # and the two starts land within 2e-3 of each other
+        for i, steps in enumerate(invert_workload_targets(seed)):
+            psis = []
+            for mode in ("proportional", "uniform"):
+                res = solve_circle_domain(steps, SolveSettings(
+                    resolution=256, warm_start=mode))
+                hv = FdSolver(res.domain, n_theta=256).h_table(steps.radii)
+                assert np.abs(hv - np.array(steps.values)).max() <= 1e-3, (i, mode)
+                psis.append(res.domain.psis)
+            assert np.abs(psis[0] - psis[1]).max() <= 2e-3, i
+
     def test_jump_ramp_tight_tolerance_converges(self):
         # below the coarse grid's own floor the coarse level stops with at
         # least a quarter of the budget left, and the fine level converges
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         res = solve_circle_domain(steps, SolveSettings(resolution=512, tol=2e-4))
         assert res.converged and res.residual <= 2e-4
-        assert sum(1 for r, _ in res.trace if r == 256) <= 60 - 60 // 4
+        budget = construct._MAX_SWEEPS
+        assert sum(1 for r, _ in res.trace if r == 256) <= budget - budget // 4
 
     @pytest.mark.parametrize("n, resolution, tol", [
         (4, 64, 1e-3), (8, 128, 1e-3), (16, 512, 5e-5)])
@@ -159,13 +198,13 @@ class TestSolveCircleDomain:
         res = solve_circle_domain(steps, SolveSettings(warm_start="uniform"))
         assert res.converged and res.residual <= 0.2e-3
 
-    def test_failed_solve_spends_the_whole_budget(self):
+    def test_failed_solve_spends_the_whole_budget(self, monkeypatch):
         # every evaluation is one step, so a stalled solve stops at the
         # budget, not short of it
+        monkeypatch.setattr(construct, "_MAX_SWEEPS", 20)
         steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 16)
         try:
-            res = solve_circle_domain(steps, SolveSettings(resolution=128,
-                                                           max_sweeps=20))
+            res = solve_circle_domain(steps, SolveSettings(resolution=128))
         except SolveError as err:
             assert "after 20 measure evaluations" in str(err)
         else:
@@ -177,13 +216,14 @@ class TestSolveCircleDomain:
         b = solve_circle_domain(steps, SolveSettings(warm_start="uniform"))
         assert np.abs(a.domain.psis - b.domain.psis).max() <= 2e-3
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         steps = StepH((1.0, 2.0), (0.5, 1.0))
-        # max_sweeps bounds every measure evaluation, Newton phase and both
+        # the budget bounds every measure evaluation, Newton phase and both
         # levels included
+        monkeypatch.setattr(construct, "_MAX_SWEEPS", 4)
         with pytest.raises(SolveError,
                            match="after 4 measure evaluations: residual"):
-            solve_circle_domain(steps, SolveSettings(tol=1e-18, max_sweeps=4))
+            solve_circle_domain(steps, SolveSettings(tol=1e-18))
 
     def test_bad_settings_rejected(self):
         # fd is the only inversion engine
@@ -193,10 +233,7 @@ class TestSolveCircleDomain:
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive"):
                 SolveSettings(tol=tol)
-        # a budget of 0 would still spend one evaluation; a bad warm start
-        # would pass unseen on a one-jump target
-        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
-            SolveSettings(max_sweeps=0)
+        # a bad warm start would pass unseen on a one-jump target
         with pytest.raises(ValueError, match="unknown warm start 'foo'; "
                            "expected profile, proportional, uniform"):
             SolveSettings(warm_start="foo")
@@ -253,15 +290,15 @@ class TestUlcDiagnostics:
         # tiny, radial depth large
         x = CircleDomain.from_arrays([1.0, 2.0], [math.pi - 0.01, math.pi])
         om = build_blocked(x, 0.05)
-        checks = ulc_diagnostics(om, alpha=0.5, eps_list=(0.5,))
-        assert not checks[0].radius_ok
+        checks = ulc_diagnostics(om, alpha=0.5)
+        assert checks[0].eps == 0.5 and not checks[0].radius_ok
 
     def test_adversarial_deep_gate_fails(self):
         # two close radii but a gate plunging far below both arcs
         x = CircleDomain.from_arrays([1.0, 1.001, 1.1], [2.0, 2.0, math.pi])
         om = BlockedCircleDomain(x, (0.1, 1.9))
-        checks = ulc_diagnostics(om, alpha=0.5, eps_list=(0.5,))
-        assert not checks[0].theta_ok
+        checks = ulc_diagnostics(om, alpha=0.5)
+        assert checks[0].eps == 0.5 and not checks[0].theta_ok
 
 
 class TestPipeline:
@@ -329,20 +366,8 @@ class TestPipeline:
 
 
 class TestBoundaryProfile:
-    @pytest.mark.parametrize("f, rs", [
-        (hfunction.example_jump_ramp(), (1.0, 1.0496, 1.0992)),
-        (CandidateH((1.0, 1.4, 2.0), (0.2, 0.6, 1.0), (LINEAR, LINEAR)),
-         (1.0, 1.2, 1.4, 1.7, 2.0)),
-    ], ids=["jump-ramp", "two-ramps"])
-    def test_round_trip(self, f, rs):
-        # the point at angle pi f(r) has modulus r, and the jump at mu
-        # holds every angle up to pi f(mu) at mu
-        thetas, prof = construct.boundary_profile(f, n_theta=361).T
-        for r in rs:
-            i = np.argmin(np.abs(thetas - math.pi * hfunction.evaluate(f, r)))
-            assert prof[i] == pytest.approx(r)
-        jump = np.abs(thetas) <= math.pi * hfunction.evaluate(f, f.mu)
-        assert prof[jump] == pytest.approx(np.full(jump.sum(), f.mu))
+    """The default warm start puts arc k at psi_k = pi F_k, F_k the step
+    value after it: on the curve theta = pi f(r) at r_k."""
 
     @pytest.mark.parametrize("f", [
         hfunction.example_jump_ramp(),
@@ -350,24 +375,13 @@ class TestBoundaryProfile:
     ], ids=["jump-ramp", "two-ramps"])
     @pytest.mark.parametrize("n", [8, 16])
     def test_profile_start_lies_on_the_curve(self, f, n):
-        # the inversion's default start puts arc k at the profile's angle
-        # at r_k: where f strictly increases the curve passes through
-        # (psi_k, r_k)
         steps = hfunction.step_approximation(f, n)
         psis = construct._initial_psis(steps, "profile")
-        thetas, prof = construct.boundary_profile(f).T
-        ramp = np.array(steps.radii[:-1]) > f.mu  # past the jump at mu
+        rs = np.array(steps.radii[:-1])
+        ramp = rs > f.mu  # past the jump at mu
         assert ramp.sum() == n - 1
-        rs = np.interp(psis[ramp], thetas, prof)
-        np.testing.assert_allclose(rs, np.array(steps.radii[:-1])[ramp],
-                                   rtol=0, atol=1e-9)
-
-    def test_endpoints(self):
-        f = hfunction.example_jump_ramp()
-        prof = construct.boundary_profile(f, n_theta=361)
-        thetas, rs = prof[:, 0], prof[:, 1]
-        mid = np.argmin(np.abs(thetas))
-        assert rs[mid] == pytest.approx(f.mu)
-        assert rs[0] == pytest.approx(f.M)
-        assert rs[-1] == pytest.approx(f.M)
-        assert np.all(rs >= f.mu - 1e-12) and np.all(rs <= f.M + 1e-12)
+        np.testing.assert_allclose(psis, math.pi * np.array(steps.values[:-1]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(psis[ramp],
+                                   math.pi * hfunction.evaluate(f, rs[ramp]),
+                                   rtol=0, atol=1e-12)

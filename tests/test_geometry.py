@@ -60,7 +60,7 @@ class TestNearestBoundary:
         d = CircleDomain.disk(2.0)
         z = np.array([0.5 + 0.5j])
         (dist,) = geometry.nearest_boundary(z, d)
-        (kind,), (index,), (modulus,) = geometry.nearest_feature(z, d)
+        (kind,), (index,), (modulus,) = geometry.nearest_feature(z, d, [dist])
         assert dist == pytest.approx(2.0 - abs(0.5 + 0.5j))
         assert (kind, index, modulus) == (OUTER, 0, 2.0)
 
@@ -69,7 +69,8 @@ class TestNearestBoundary:
         # point just beyond the arc endpoint: nearest is the endpoint
         z = 1.0 * np.exp(1j * 0.7)
         (dist,) = geometry.nearest_boundary(np.array([z]), d)
-        (kind,), (index,), (modulus,) = geometry.nearest_feature(np.array([z]), d)
+        (kind,), (index,), (modulus,) = geometry.nearest_feature(np.array([z]),
+                                                                 d, [dist])
         end = np.exp(1j * 0.5)
         assert dist == pytest.approx(abs(z - end))
         assert (kind, index, modulus) == (ARC, 0, 1.0)
@@ -79,7 +80,7 @@ class TestNearestBoundary:
         z = np.array([1.2 * np.exp(1j * 0.35)])
         (dist,) = geometry.nearest_boundary(z, blocked_example)
         (kind,), (index,), (modulus,) = geometry.nearest_feature(
-            z, blocked_example)
+            z, blocked_example, [dist])
         assert (kind, index) == (GATE, 0)
         # distance to infinite line through angle 0.3 at this radius, from
         # the gate point at the same radial coordinate
@@ -312,14 +313,13 @@ def adversarial_points(d, seed):
     (0.3, 0.2, 0.0, 0.5)), 3)
 def test_nearest_boundary_matches_full_scan(d, seed):
     """The distance query returns the full scan's distance, and the
-    feature query its kind, index and modulus, bit for bit; the feature
-    query gives the same given the distance or not."""
+    feature query, given that distance, its kind, index and modulus, bit
+    for bit."""
     z = adversarial_points(d, seed)
     dist = geometry.nearest_boundary(z, d)
     want = scan_nearest_boundary(z, d)
-    got = (dist, *geometry.nearest_feature(z, d))
-    given_dist = geometry.nearest_feature(z, d, dist)
-    for g, w in zip(got + given_dist, want + want[1:]):
+    got = (dist, *geometry.nearest_feature(z, d, dist))
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
         assert g.tobytes() == w.tobytes()
@@ -332,7 +332,7 @@ def test_distance_lipschitz_and_symmetric(d, a, b):
     z = np.array([complex(a, b) * M, complex(a, -b) * M, 0.4 * M * a + 0j])
     inside = geometry.is_interior(z, d)
     dist = geometry.nearest_boundary(z, d)
-    kind, idx, _ = geometry.nearest_feature(z, d)
+    kind, idx, _ = geometry.nearest_feature(z, d, dist)
     # reflection symmetry: z and conj(z) see the same feature at the same
     # distance
     if inside[0] and inside[1]:

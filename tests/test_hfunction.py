@@ -224,4 +224,6 @@ def scalar_necessary_checks(f, grid_size=1024):
 @example(example_jump_ramp(), 1024)
 @example(CandidateH((1.0, 1.5, 2.0), (0.0, 0.1, 1.0), (LINEAR, CONSTANT)), 1024)
 def test_necessary_checks_match_scalar_loop(f, grid_size):
-    assert necessary_checks(f, grid_size) == scalar_necessary_checks(f, grid_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hfunction, "_GRID_SIZE", grid_size)
+        assert necessary_checks(f) == scalar_necessary_checks(f, grid_size)

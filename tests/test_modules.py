@@ -1,11 +1,13 @@
 """Every script imports and every name a module exports exists, so a
 deletion that leaves a dangling import or ``__all__`` entry fails here;
-nor does a module or script import a name it never uses.
+nor does a module or script import a name it never uses, nor does a
+settings class hold a field that only the tests set.
 SciPy loads only where an engine needs it, so commands that do not use
 the fd engine start without it, an inversion loads no more of it than
 the fd engine's sparse solver, and a one-batch WoS ensemble starts no
 thread pool."""
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -17,10 +19,15 @@ import sys
 import pytest
 
 import hmdf
+from hmdf.construct import SolveSettings
+from hmdf.potential import WosConfig
 
-SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hmdf.__path__))
 SOURCES = sorted(pathlib.Path(hmdf.__file__).parent.glob("*.py")) + SCRIPTS
+# Every file outside the tests that may construct a settings class.
+CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -76,6 +83,35 @@ def test_unused_import_check():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def keywords_passed(name: str, sources) -> set[str]:
+    """The keyword names passed to every call of a callable named ``name``
+    (a bare name or an attribute) in the ``sources``."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == name):
+                out.update(k.arg for k in node.keywords if k.arg)
+    return out
+
+
+def test_keywords_passed():
+    source = ("SolveSettings(tol=1e-3, **extra)\n"
+              "construct.SolveSettings(seed=2)\n"
+              "replace(settings, epsilon=1.0)\n"
+              "SolveSettings.resolution\n")
+    assert keywords_passed("SolveSettings", [source]) == {"tol", "seed"}
+
+
+@pytest.mark.parametrize("cls", [SolveSettings, WosConfig],
+                         ids=lambda c: c.__name__)
+def test_every_setting_is_passed_outside_the_tests(cls):
+    # a field that no caller passes by name is a constant in disguise
+    passed = keywords_passed(cls.__name__, (p.read_text() for p in CALLERS))
+    assert {f.name for f in dataclasses.fields(cls)} - passed == set()
 
 
 def run_fresh(code, *args):

@@ -13,11 +13,29 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from hmdf import geometry, potential
-from hmdf.fd import FdSolver, filler_counts
+from hmdf.fd import FdSolver
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h, exact_slit_disk_gate,
                             feature_measures, slit_disk, wos_exit_ensemble)
+
+
+class _MirroredDraws:
+    """A generator whose ``random`` draws are those of ``rng`` negated."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, size):
+        return -self._rng.random(size)
+
+
+def mirror_draws(monkeypatch):
+    """Negate every draw of every generator that ``np.random.default_rng``
+    makes from here on, so a walk's angular steps turn the other way."""
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _MirroredDraws(default_rng(seed)))
 
 
 def poisson_offcenter_h(a: float, R: float, r: float) -> float:
@@ -106,13 +124,14 @@ class TestWos:
         assert abs(whole - exact_whole) <= 3 * (seg.std_error +
                                                 fm[("gate", 1)].std_error) + 1e-3
 
-    def test_reflection_invariance_walkwise(self):
+    def test_reflection_invariance_walkwise(self, monkeypatch):
         # on a symmetric domain, negating every angular draw mirrors each
         # walk exactly, so exit moduli match walk for walk
         base = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
         dom = BlockedCircleDomain(base, (0.4,))
         e1 = wos_exit_ensemble(dom, 0.0, 4000, WosConfig(seed=2))
-        e2 = wos_exit_ensemble(dom, 0.0, 4000, WosConfig(seed=2), reflect=True)
+        mirror_draws(monkeypatch)
+        e2 = wos_exit_ensemble(dom, 0.0, 4000, WosConfig(seed=2))
         assert np.array_equal(e1.moduli, e2.moduli)
         assert np.array_equal(e1.kinds, e2.kinds)
         assert np.array_equal(e1.indices, e2.indices)
@@ -181,7 +200,7 @@ class TestWos:
         calls = []
         feature = geometry.nearest_feature
 
-        def recording(z, d, dist=None):
+        def recording(z, d, dist):
             calls.append((threading.current_thread(), z.copy(), dist.copy()))
             return feature(z, d, dist)
 
@@ -191,7 +210,8 @@ class TestWos:
         dom = self._CONSTRUCT_16
         n = 2 * potential._BATCH + 100
         eps = WosConfig().epsilon * dom.outer_radius
-        ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=11, max_steps=40))
+        monkeypatch.setattr(potential, "_MAX_STEPS", 40)
+        ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=11))
         assert ens.discard_count > 0  # discarded walks are never resolved
         assert len(calls) == 3
         assert sum(z.size for _, z, _ in calls) == ens.sample_count
@@ -202,7 +222,9 @@ class TestWos:
         assert all(t is not threading.main_thread() for t, _, _ in calls)
         # the threads may end in any order: compare the exits as sets
         z = np.concatenate([z for _, z, _ in calls])
-        assert np.array_equal(np.sort(ens.moduli), np.sort(feature(z, dom)[2]))
+        dist = geometry.nearest_boundary(z, dom)
+        assert np.array_equal(np.sort(ens.moduli),
+                              np.sort(feature(z, dom, dist)[2]))
 
     @pytest.mark.parametrize("max_steps, reflect", [
         (10_000, False),
@@ -211,7 +233,10 @@ class TestWos:
     def test_batch_threads_match_one_core(self, monkeypatch, max_steps, reflect):
         dom = CircleDomain.from_arrays([1.0, 2.0], [0.9, math.pi])
         n = 2 * potential._BATCH + 100
-        cfg = WosConfig(seed=3, max_steps=max_steps)
+        cfg = WosConfig(seed=3)
+        monkeypatch.setattr(potential, "_MAX_STEPS", max_steps)
+        if reflect:
+            mirror_draws(monkeypatch)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a lost write shows
@@ -221,7 +246,7 @@ class TestWos:
             for cores in ({0}, {0, 1, 2}, set(range(potential._usable_cores()))):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, c=cores: c, raising=False)
-                runs.append(wos_exit_ensemble(dom, 0.0, n, cfg, reflect=reflect))
+                runs.append(wos_exit_ensemble(dom, 0.0, n, cfg))
         finally:
             sys.setswitchinterval(interval)
         one = runs[0]
@@ -293,22 +318,20 @@ class TestWos:
                 with pytest.raises(geometry.NotInteriorError):
                     wos_exit_ensemble(dom, z0, 10)
 
-    def test_no_estimate_without_walks(self):
+    def test_no_estimate_without_walks(self, monkeypatch):
         # one step never reaches the epsilon shell: every walk is discarded
-        with pytest.raises(RuntimeError, match="no walk reached the boundary"):
-            estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 100,
-                       WosConfig(max_steps=1))
+        monkeypatch.setattr(potential, "_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="no walk reached the boundary: "
+                                               "all 100 hit max_steps=1"):
+            estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 100)
         with pytest.raises(ValueError, match="n_samples"):
             estimate_h(CircleDomain.disk(1.0), [0.5, 1.0], 0.0, 0)
 
     def test_bad_config_rejected(self):
-        # max_steps = 0 would discard every walk unseen
         for eps in (0.0, -1e-5, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon must be positive "
                                                  "and finite"):
                 WosConfig(epsilon=eps)
-        with pytest.raises(ValueError, match="max_steps must be at least 1"):
-            WosConfig(max_steps=0)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             WosConfig(seed=-1)
 
@@ -396,7 +419,7 @@ class TestFdSolver:
 
         s = FdSolver(dom, resolution)
         jac = s.arc_measure_jacobian()
-        n = dom.n_arcs
+        n = len(dom.arcs) - 1
         assert jac.shape == (n, n)
         delta = 1e-7
         for k in range(n):
@@ -430,7 +453,7 @@ class TestFdSolver:
             p = psis.copy()
             p[1] += sign * delta
             moved = CircleDomain.from_arrays(radii, p)
-            frozen.append(FdSolver(moved, resolution, counts=s.counts).arc_measures())
+            frozen.append(FdSolver(moved, resolution, frozen=s.counts).arc_measures())
             fresh.append(FdSolver(moved, resolution))
         assert fresh[0].counts != fresh[1].counts
         # the jump (6.5e-5 at 256) dwarfs the smooth change over 2 delta
@@ -443,37 +466,44 @@ class TestFdSolver:
         dom = self._JUMP_RAMP_16
         radii, psis = dom.radii, dom.psis.copy()
         h = 2.0 * math.pi / 128
-        fresh = filler_counts(dom, 128)
+
+        def counts(d, frozen=None):
+            return FdSolver(d, 128, frozen=frozen).counts
+
+        fresh = counts(dom)
         gaps = np.diff(np.concatenate(([0.0], psis[:-1], [math.pi])))
         assert fresh == tuple(int(c) for c in np.maximum(1, np.ceil(gaps / h)))
-        # the default grid is the grid of the default counts, bit for bit
+        # a grid frozen at its own fresh counts is that grid, bit for bit
         assert np.array_equal(FdSolver(dom, 128).weights,
-                              FdSolver(dom, 128, counts=fresh).weights)
+                              FdSolver(dom, 128, frozen=fresh).weights)
         # moved psis keep frozen counts while every cell stays within 4 h
         moved = psis.copy()
         moved[:-1] += np.linspace(0.0, 0.1, 16)
         moved_dom = CircleDomain.from_arrays(radii, moved)
-        assert filler_counts(moved_dom, 128) != fresh
-        assert filler_counts(moved_dom, 128, fresh) == fresh
+        assert counts(moved_dom) != fresh
+        assert counts(moved_dom, fresh) == fresh
         # a gap grown past 4 h cells re-freezes to the fresh counts
         wide = psis.copy()
         wide[0] -= 7.0 * h  # its gap to psi_1: 2 cells of about 4.5 h
         wide_dom = CircleDomain.from_arrays(radii, wide)
-        assert filler_counts(wide_dom, 128, fresh) == filler_counts(wide_dom, 128)
+        assert counts(wide_dom, fresh) == counts(wide_dom)
         # merged rays (every psi on one ray) change the gap count
         one_ray = CircleDomain.from_arrays(radii, np.append(np.full(16, 1.0),
                                                             math.pi))
-        assert len(filler_counts(one_ray, 128, fresh)) == 2
+        assert len(counts(one_ray, fresh)) == 2
 
     def test_bad_filler_counts_rejected(self):
         dom = self._MIRROR_CASES["circle"][0]
         for res in (0, -4, 7):
             with pytest.raises(ValueError, match="fd resolution must be at least"):
-                filler_counts(dom, res)
-        counts = FdSolver(dom, 64).counts
+                FdSolver(dom, res)
+        # a frozen hint that does not fit the grid yields fresh counts
+        fresh = FdSolver(dom, 64)
+        counts = fresh.counts
         for bad in (counts[:-1], counts + (1,), (0,) + counts[1:]):
-            with pytest.raises(ValueError, match="one filler count >= 1"):
-                FdSolver(dom, 64, counts=bad)
+            s = FdSolver(dom, 64, frozen=bad)
+            assert s.counts == counts
+            assert s.weights.tobytes() == fresh.weights.tobytes()
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
