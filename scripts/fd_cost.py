@@ -11,7 +11,7 @@ measure evaluations spent per level (at resolution // 2 and at
 resolution) and in total, the residual the solve reports, the residual
 re-measured on a fresh grid, ``fd_error`` and the seconds, then one
 summary line: cases converged and total evaluations, counting a stalled
-case at its whole budget.
+case at the evaluations it spent (``SolveError.evaluations``).
 
 Part 2 rebuilds ``FdSolver`` on the jump-ramp solutions and prints the
 median time of each layer of one build: labelling (``_label``),
@@ -29,8 +29,8 @@ import time
 import numpy as np
 
 from hmdf import fd, hfunction
-from hmdf.construct import (_MAX_SWEEPS, WARM_STARTS, SolveError,
-                            SolveSettings, solve_circle_domain)
+from hmdf.construct import (WARM_STARTS, SolveError, SolveSettings,
+                            solve_circle_domain)
 from hmdf.hfunction import StepH
 
 RAMP_N = (2, 4, 8, 16, 32, 64)  # jump-ramp stages at the default settings
@@ -58,7 +58,7 @@ def evaluations(name: str, steps: StepH, settings: SolveSettings):
         res = solve_circle_domain(steps, settings)
     except SolveError as err:
         print(f"{name:<32} {err}")
-        return None, _MAX_SWEEPS
+        return None, err.evaluations
     sec = time.perf_counter() - t0
     solver = fd.FdSolver(res.domain, n_theta=settings.resolution)
     fresh = np.abs(np.cumsum(solver.arc_measures())
@@ -123,10 +123,11 @@ class _Timer:
             timer.nnz = lu.nnz
             return TimedLU(lu)
 
-        def timed_label(solver):
+        def timed_label(*args):
             t0 = time.perf_counter()
-            label(solver)
+            out = label(*args)
             timer.add("label", time.perf_counter() - t0)
+            return out
 
         fd.splu, fd.FdSolver._label = timed_splu, timed_label
         return lambda: (setattr(fd, "splu", splu),

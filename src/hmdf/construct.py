@@ -78,7 +78,14 @@ class SolveSettings:
 
 
 class SolveError(RuntimeError):
-    """The inversion loop did not reach the requested tolerance."""
+    """The inversion loop did not reach the requested tolerance; it spent
+    ``evaluations`` measure evaluations, the best at sup residual
+    ``residual``."""
+
+    def __init__(self, evaluations: int, residual: float, tol: float):
+        super().__init__(f"inversion stalled after {evaluations} measure "
+                         f"evaluations: residual {residual:.3e} > tolerance {tol:.3e}")
+        self.evaluations, self.residual = evaluations, residual
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,6 @@ class SolveResult:
 
     domain: CircleDomain
     residual: float
-    sweeps: int
     converged: bool
     # Sup-norm gap between the fd measures at resolution and at
     # resolution // 2 at the same psis: the first-order scheme's error
@@ -97,6 +103,11 @@ class SolveResult:
     fd_error: float
     # (fd resolution, sup residual) per measure evaluation.
     trace: tuple[tuple[int, float], ...]
+
+    @property
+    def sweeps(self) -> int:
+        """The measure evaluations the solve spent."""
+        return len(self.trace)
 
 
 def _initial_psis(steps: StepH, mode: str) -> np.ndarray:
@@ -146,7 +157,7 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     n = len(radii) - 1  # proper arcs
     tol, budget, res = settings.tol, _MAX_SWEEPS, settings.resolution
     if n == 0:
-        return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, 0, True,
+        return SolveResult(CircleDomain.disk(float(radii[0])), 0.0, True,
                            math.nan, ())
     from . import fd  # scipy.sparse, kept out of `import hmdf.construct`
 
@@ -192,10 +203,8 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
         sup, psis = best[:2]
     if sup <= tol:
         dom = CircleDomain.from_arrays(radii, np.append(psis, math.pi))
-        return SolveResult(dom, sup, len(trace), True, fd_error, tuple(trace))
-    raise SolveError(
-        f"inversion stalled after {len(trace)} measure evaluations: "
-        f"residual {sup:.3e} > tolerance {tol:.3e}")
+        return SolveResult(dom, sup, True, fd_error, tuple(trace))
+    raise SolveError(len(trace), sup, tol)
 
 
 def build_blocked(x: CircleDomain, kappa_n: float) -> BlockedCircleDomain:

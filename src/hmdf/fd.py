@@ -24,7 +24,13 @@ single adjoint solve: if A u_int + B u_dir = 0 is the half-grid interior
 system, the vector w = -B^T A^{-T} e_origin holds one nonnegative weight
 per Dirichlet node -- the full-circle weight of that node plus that of its
 mirror image off the axis -- and the measure of any feature is the sum of
-its nodes' weights.
+its nodes' weights.  Each Dirichlet node carries the flat feature id of
+``geometry.nearest_feature``: arc k is k, gate k is n + k and the outer
+circle n + g, for n proper arcs and g gates.  A node two features share
+goes to the arc or the outer circle over a gate, and to the lower of two
+gates.  So the outer-ring node on the last gate's ray counts for the outer
+circle, where ``nearest_feature`` gives that tie to the gate; moving it
+would move the gate and outer measures.
 
 A has the sparsity pattern of a symmetric matrix (every stencil link runs
 both ways, the origin and ring 0 included), and with its interior rows
@@ -43,12 +49,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from . import geometry
-from .geometry import ARC, GATE, KINDS, OUTER
 
 __all__ = ["FdSolver", "MIN_N_THETA"]
 
 _MERGE = 1e-9   # rays closer than this are merged
-_MATCH = 2e-9   # membership tolerance against merged rays / rings
 MIN_N_THETA = 8  # coarsest usable angular resolution
 # Widest cell, in grid steps h, under a frozen count; with cells held to
 # [h/2, 3h/2] or [0, 2h] instead, jump-ramp n = 64 at 512 stalls at 3.8e-3.
@@ -85,7 +89,9 @@ def _angular_rays(d, n_theta: int, frozen):
     ``_filler_counts``.
 
     Returns the angles, per ray its fraction t along the interval between
-    the feature rays around it (t = 0 on them), and the counts."""
+    the feature rays around it (t = 0 on them), the counts, and the ray
+    index of every psi and every phi: that of the feature ray it merged
+    into, the last one at or below it."""
     merged = _feature_rays(d)
     counts = _filler_counts(merged, n_theta, frozen)
     out, t = [], []
@@ -95,22 +101,29 @@ def _angular_rays(d, n_theta: int, frozen):
             t.append(s / n_sub)
     out.append(math.pi)
     t.append(0.0)
-    return np.array(out), np.array(t), counts
+    first = np.cumsum((0,) + counts)  # ray index of each feature ray
+    psi_ray, phi_ray = (first[np.searchsorted(merged, a, side="right") - 1]
+                        for a in (d.psis, d.phis))
+    return np.array(out), np.array(t), counts, psi_ray, phi_ray
 
 
-def _ring_radii(d, n_theta: int) -> np.ndarray:
+def _ring_radii(d, n_theta: int):
     """Log-spaced rings through every arc radius, with an inner ring band
-    from half the first radius (the origin closes the disk below it)."""
+    from half the first radius (the origin closes the disk below it).
+
+    Returns the radii and the ring index of every arc radius; at least two
+    rings lie below the first."""
     radii = d.radii
     h = 2.0 * math.pi / n_theta
     knots = [0.5 * radii[0]] + [float(r) for r in radii]
-    out = []
+    out, ring_of = [], []
     for a, b in zip(knots, knots[1:]):
         n_sub = max(2, math.ceil(math.log(b / a) / h))
         for s in range(n_sub):
             out.append(a * (b / a) ** (s / n_sub))
+        ring_of.append(len(out))
     out.append(knots[-1])
-    return np.array(out)
+    return np.array(out), np.array(ring_of)
 
 
 class FdSolver:
@@ -124,7 +137,8 @@ class FdSolver:
     side per arc, on demand.  ``weights`` holds one entry per half-grid
     Dirichlet node: the sum of the full-circle weights of the node and its
     mirror image (just its own weight on the axis rays 0 and pi), so
-    feature sums and ``weight_sum`` cover the whole boundary.
+    feature sums and ``weight_sum`` cover the whole boundary; a feature's
+    measure sums the nodes labelled with its flat id (module docstring).
     ``self.counts`` holds the cell count of each gap between feature rays:
     the ``frozen`` counts (an earlier solver's ``counts``) while they fit,
     else the fresh ceil(gap / h).  Raises ValueError for an ``n_theta``
@@ -137,58 +151,37 @@ class FdSolver:
                              f"got {n_theta}")
         self.n_theta = int(n_theta)
         self.domain = dom
-        self._radii = dom.radii
         self._psis = dom.psis
-        self._phis = dom.phis
-        self.thetas, self._ray_t, self.counts = _angular_rays(
-            dom, self.n_theta, frozen)
-        self.rho = _ring_radii(dom, self.n_theta)
-        self._label()
-        self._assemble_and_solve()
+        self.thetas, self._ray_t, self.counts, self._psi_ray, phi_ray = (
+            _angular_rays(dom, self.n_theta, frozen))
+        self.rho, ring_of = _ring_radii(dom, self.n_theta)
+        self._assemble_and_solve(self._label(ring_of, phi_ray))
 
     # -- grid labeling ----------------------------------------------------
 
-    def _ring_index(self, r: float) -> int:
-        i = int(np.argmin(np.abs(self.rho - r)))
-        if abs(self.rho[i] - r) > _MATCH * max(1.0, r):
-            raise RuntimeError(f"arc radius {r} missing from ring set")
-        return i
-
-    def _label(self) -> None:
-        nr, N = len(self.rho), len(self.thetas)
-        kind = np.full((nr, N), -1, dtype=np.int8)
-        idx = np.full((nr, N), -1, dtype=np.int64)
-        # gates first; arcs overwrite them so shared corner nodes count as
-        # arc nodes, matching the arcs-before-gates tie rule.
-        for k in range(len(self._phis)):
-            on_ray = np.abs(self.thetas - self._phis[k]) <= _MATCH
-            i0 = self._ring_index(self._radii[k])
-            i1 = self._ring_index(self._radii[k + 1])
-            block = np.ix_(np.arange(i0, i1 + 1), np.nonzero(on_ray)[0])
-            fresh = kind[block] == -1
-            kind[block] = np.where(fresh, np.int8(GATE), kind[block])
-            idx[block] = np.where(fresh, k, idx[block])
-        for k in range(len(self._radii) - 1):
-            psi = self._psis[k]
-            if psi <= 0.0:
-                continue  # capacity-zero point arc
-            i = self._ring_index(self._radii[k])
-            on = self.thetas <= psi + _MATCH
-            kind[i, on] = ARC
-            idx[i, on] = k
-        kind[-1, :] = OUTER
-        idx[-1, :] = len(self._radii) - 1
-        self._kind = kind
-        self._idx = idx
+    def _label(self, ring_of, phi_ray) -> np.ndarray:
+        """The (ring, ray) grid of flat feature ids, -1 off the boundary:
+        each arc on its ring from ray 0 to its psi's ray, each gate on its
+        phi's ray from its inner arc's ring to its outer one's, and the
+        outer circle on the last ring."""
+        n, g = len(ring_of) - 1, len(phi_ray)
+        feature = np.full((len(self.rho), len(self.thetas)), -1)
+        # gates first, the lower overwriting the upper on a shared node;
+        # arcs and the outer circle overwrite gates on their corner nodes
+        for k in reversed(range(g)):
+            feature[ring_of[k]:ring_of[k + 1] + 1, phi_ray[k]] = n + k
+        for k in range(n):
+            if self._psis[k] > 0.0:  # a point arc has capacity zero
+                feature[ring_of[k], :self._psi_ray[k] + 1] = k
+        feature[-1] = n + g
+        return feature
 
     # -- assembly and the adjoint solve -----------------------------------
 
-    def _assemble_and_solve(self) -> None:
+    def _assemble_and_solve(self, feature: np.ndarray) -> None:
         rho, thetas = self.rho, self.thetas
         nr, N = len(rho), len(thetas)
-        is_dir = self._kind >= 0
-        if is_dir[0].any():
-            raise RuntimeError("innermost ring must not touch the boundary")
+        is_dir = feature >= 0
 
         uid = np.full((nr, N), -1, dtype=np.int64)
         uid[~is_dir] = np.arange((~is_dir).sum())
@@ -275,43 +268,28 @@ class FdSolver:
         self._lu, self._y, self._B, self._mult = lu, y, B, mult
 
         # Dirichlet node ids number the mask in C order, as masking does
-        self.dir_kind = self._kind[is_dir]
-        self.dir_index = self._idx[is_dir]
+        self._node_feature = feature[is_dir]
         self.dir_radius = rho[np.nonzero(is_dir)[0]]
         self.weights = w
         self.weight_sum = float(w.sum())
         self.n_unknowns = n_unk
         self._uid, self._did = uid, did
+        # every id up to the outer circle's n + g, the largest, is counted
+        self._measures = np.bincount(self._node_feature, weights=w)
+        self._measures.flags.writeable = False
 
     # -- measure queries --------------------------------------------------
-
-    def _per_feature(self, code: int, node_values: np.ndarray) -> np.ndarray:
-        """Sums of ``node_values`` (rows per Dirichlet node) over the nodes
-        of every feature of one kind code, by feature index (0..n, long
-        enough for arcs, gates and the outer circle)."""
-        out = np.zeros((len(self._radii),) + node_values.shape[1:])
-        sel = self.dir_kind == code
-        np.add.at(out, self.dir_index[sel], node_values[sel])
-        return out
-
-    def _measures(self, code: int) -> np.ndarray:
-        """Measure of every feature of one kind code, by feature index."""
-        return self._per_feature(code, self.weights)
-
-    def measure(self, kind: str, index: int) -> float:
-        """Harmonic measure at 0 of one boundary feature."""
-        return float(self._measures(KINDS.index(kind))[index])
 
     def arc_measures(self) -> np.ndarray:
         """Per-arc measures for the proper arcs 0..n-1 (capacity-zero arcs
         report 0)."""
-        return self._measures(ARC)[:-1]
+        return self._measures[:len(self._psis) - 1]
 
     def gate_measures(self) -> np.ndarray:
-        return self._measures(GATE)[:len(self._phis)]
+        return self._measures[len(self._psis) - 1:-1]
 
     def outer_measure(self) -> float:
-        return float(self._measures(OUTER)[-1])
+        return float(self._measures[-1])
 
     def h_table(self, radii) -> np.ndarray:
         """h(r) = measure of the boundary within the closed ball of each
@@ -343,7 +321,7 @@ class FdSolver:
         # ray j lies at fraction t[j] between feature rays q[j] and q[j] + 1
         feat_ray = np.flatnonzero(t == 0.0)
         q = np.cumsum(t == 0.0) - 1
-        qk = np.argmin(np.abs(self.thetas[feat_ray] - psis[:, None]), axis=1)
+        qk = q[self._psi_ray[:-1]]
         moves = (psis > 0.0) & (qk > 0) & (qk < len(feat_ray) - 1)
         # v[k, j] = d theta_j / d psi_k; derivatives below are (n, rays)
         v = (np.where(q == qk[:, None], 1.0 - t, 0.0)
@@ -388,4 +366,7 @@ class FdSolver:
             R[uid[:, a:b][win], k] = Tk[win]
             D[did[:, a:b][~win], k] = Tk[~win]
         dw = self._B.T @ self._lu.solve(R, trans="T") - D
-        return self._per_feature(ARC, dw)[:-1]
+        arc = self._node_feature < len(psis)
+        jac = np.zeros((len(psis), len(psis)))
+        np.add.at(jac, self._node_feature[arc], dw[arc])
+        return jac

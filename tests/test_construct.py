@@ -225,6 +225,18 @@ class TestSolveCircleDomain:
                            match="after 4 measure evaluations: residual"):
             solve_circle_domain(steps, SolveSettings(tol=1e-18))
 
+    def test_stall_at_the_floor_counts_its_evaluations(self):
+        # below the rounding floor the loop stops short of the budget; the
+        # error carries the evaluations spent, not the budget
+        steps = StepH((1.0, 2.0), (0.5, 1.0))
+        with pytest.raises(SolveError) as info:
+            solve_circle_domain(steps, SolveSettings(resolution=32, tol=1e-18))
+        err = info.value
+        assert err.evaluations == 13 < construct._MAX_SWEEPS
+        assert str(err) == ("inversion stalled after 13 measure evaluations: "
+                            f"residual {err.residual:.3e} > tolerance 1.000e-18")
+        assert 0.0 < err.residual <= construct._SUP_FLOOR
+
     def test_bad_settings_rejected(self):
         # fd is the only inversion engine
         for engine in ("foo", "wos"):

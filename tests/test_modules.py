@@ -9,6 +9,7 @@ thread pool."""
 import ast
 import dataclasses
 import importlib
+import math
 import os
 import pathlib
 import pkgutil
@@ -19,7 +20,9 @@ import sys
 import pytest
 
 import hmdf
+from hmdf import fd
 from hmdf.construct import SolveSettings
+from hmdf.geometry import CircleDomain
 from hmdf.potential import WosConfig
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -59,6 +62,26 @@ def unused_imports(source: str) -> list[str]:
 def test_script_imports(path):
     # any run name but "__main__" runs the imports and skips main()
     runpy.run_path(str(path), run_name="imported")
+
+
+def test_fd_cost_layer_timer_builds():
+    # the layer table wraps FdSolver._label, which an import never calls
+    script = runpy.run_path(str(ROOT / "scripts" / "fd_cost.py"),
+                            run_name="imported")
+    label, splu = fd.FdSolver._label, fd.splu
+    timer = script["_Timer"]()
+    restore = timer.install()
+    try:
+        dom = CircleDomain.from_arrays([1.0, 1.5, 2.0], [1.0, 0.5, math.pi])
+        solver, row = timer.build(dom, 64)
+    finally:
+        restore()
+    assert (fd.FdSolver._label, fd.splu) == (label, splu)
+    assert set(row) == {"label", "factor", "solve", "assemble", "build",
+                        "jacobian"}
+    assert timer.nnz > 0
+    assert solver.arc_measures().tobytes() == (
+        fd.FdSolver(dom, 64).arc_measures().tobytes())
 
 
 @pytest.mark.parametrize("name", MODULES)

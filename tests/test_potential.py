@@ -375,8 +375,10 @@ class TestFdSolver:
         s = FdSolver(dom, n_theta=512)
         ens = wos_exit_ensemble(dom, 0.0, 100_000, WosConfig(seed=7))
         fm = feature_measures(ens)
+        per_kind = {"arc": s.arc_measures(), "gate": s.gate_measures()}
         for (kind, idx), est in fm.items():
-            fd_val = s.measure(kind, idx)
+            fd_val = (s.outer_measure() if kind == "outer-circle"
+                      else per_kind[kind][idx])
             assert abs(fd_val - est.value) <= 3 * est.std_error + 3e-3
 
     def test_h_table_monotone_and_saturates(self):
@@ -559,3 +561,54 @@ class TestFdSolver:
         # one node per mirror pair: about half the full-circle unknowns
         assert s.thetas[0] == 0.0 and s.thetas[-1] == math.pi
         assert s.n_unknowns < 0.51 * full_unknowns
+
+    # Feature angles 1.5e-9 apart: more than the 1e-9 that merges two rays,
+    # so each feature has a ray of its own, and a node on its neighbour's
+    # ray would belong to two features.
+    _DEGENERATE = {
+        "arc ends": CircleDomain.from_arrays([1.0, 1.3, 2.0],
+                                             [1.0, 1.0 + 1.5e-9, math.pi]),
+        "gate at an arc end": BlockedCircleDomain(
+            CircleDomain.from_arrays([1.0, 1.3, 2.0], [1.0, 1.2, math.pi]),
+            (1.0 - 1.5e-9, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_DEGENERATE))
+    def test_features_on_their_own_rays(self, name):
+        dom = self._DEGENERATE[name]
+        s = FdSolver(dom, 64)
+        # no angle here merges, so each feature ray lies at its own angle
+        ring = [int(np.flatnonzero(s.rho == r)[0]) for r in dom.radii]
+        ray = {a: int(np.flatnonzero(s.thetas == a)[0])
+               for a in np.concatenate([dom.psis, dom.phis])}
+        nodes = {(ring[-1], j) for j in range(len(s.thetas))}
+        for k, psi in enumerate(dom.psis[:-1]):
+            nodes |= {(ring[k], j) for j in range(ray[psi] + 1)}
+        for k, phi in enumerate(dom.phis):
+            nodes |= {(i, ray[phi]) for i in range(ring[k], ring[k + 1] + 1)}
+        assert len(s.weights) == len(nodes)
+        # every node belongs to exactly one feature
+        total = (s.arc_measures().sum() + s.gate_measures().sum()
+                 + s.outer_measure())
+        assert abs(total - s.weight_sum) <= 1e-15
+
+    def _golden_digest(self):
+        """sha256 of the weights, the arc, gate and outer measures, the
+        h-table at ``_MIRROR_RADII`` and the arc-measure Jacobian of the
+        mirror cases and jump-ramp n = 16 at resolutions 64 and 256."""
+        digest = hashlib.sha256()
+        doms = [self._MIRROR_CASES[name][0] for name in sorted(self._MIRROR_CASES)]
+        for dom in doms + [self._JUMP_RAMP_16]:
+            for resolution in (64, 256):
+                s = FdSolver(dom, resolution)
+                for a in (s.weights, s.arc_measures(), s.gate_measures(),
+                          [s.outer_measure()], s.h_table(self._MIRROR_RADII),
+                          s.arc_measure_jacobian()):
+                    digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return digest.hexdigest()
+
+    def test_golden_outputs(self):
+        """Pins every FD output bit for bit (x86-64, NumPy 2.4): any
+        change to a node's feature or weight shows up here."""
+        assert self._golden_digest() == (
+            "5a140be8c5ecf401c5c9da483bd4339d6b6f23c5b128f001ee4cdc24b864768c")
