@@ -6,6 +6,9 @@ step function, inverts it into a circle domain, blocks the channels with the
 inset-angle schedule, bounds the blocking error in closed form, and verifies
 the realized h-function by Monte Carlo.  Prints a per-stage table and the
 final verdict; optionally writes the boundary of each blocked domain to SVG.
+The inversion of stage k + 1 runs beside the verification of stage k, so the
+``sec`` column is the main thread's time on a stage: waiting for its
+inversion, then blocking, verifying and the diagnostics.
 """
 import argparse
 import pathlib

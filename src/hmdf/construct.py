@@ -341,6 +341,9 @@ class StageReport:
     beurling_ok: bool
     beurling_margin: float
     ulc: tuple[UlcCheck, ...]
+    # The main thread's time on the stage: waiting for its inversion (which
+    # ran beside the previous stage's verification), then blocking,
+    # verifying and the diagnostics.
     seconds: float
 
 
@@ -378,54 +381,75 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     f and against the universal lower bound.  The verdict needs every
     stage's arc-bound margin to be nonnegative: gates fit only into arcs
     that long.  Invalid WoS settings (``WosConfig``) raise ValueError
-    before the first stage."""
+    before the first stage.
+
+    The inversions run in stage order on one background thread, so the
+    inversion of stage k + 1 overlaps the verification of stage k; every
+    output but ``StageReport.seconds`` is that of running the stages one
+    after another, and a stage's SolveError is raised when that stage is
+    reached.  No thread outlives the call."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"approximation levels must be strictly increasing, "
                          f"got {', '.join(map(str, n_list))}")
     wos = WosConfig(epsilon=settings.epsilon, seed=settings.seed)
     check = check_candidate(f)
     alpha = check.alpha
-    stages = []
-    for n in n_list:
-        t0 = time.perf_counter()
+    from concurrent.futures import ThreadPoolExecutor  # not at import time
+
+    def invert(n):
         steps = hfunction.step_approximation(f, n)
-        res = solve_circle_domain(steps, settings)
-        x = res.domain
-        kap = bounds.kappa(n, f.mu, f.M)
-        psis = x.psis[:-1]
-        lows = [(p, bounds.arc_lower_bound(b, r, x.outer_radius))
-                for r, p, b in zip(x.radii[:-1], psis, steps.jumps[:-1],
-                                   strict=True)]
-        arc_margin = min((float(p - lo) for p, lo in lows if lo is not None),
-                         default=math.inf)
-        sigma = int(np.sum(psis <= kap))
-        omega = build_blocked(x, kap)
-        hd = bounds.hdiff_bound(omega)
-        rs = _eval_radii(f, steps.radii)
-        table = estimate_h(omega, rs, 0.0, verify_samples,
-                           replace(wos, seed=settings.seed + 104729 * n))
-        hv = table.values
-        se = table.std_errors
-        fv = hfunction.evaluate(f, rs)
-        gaps = np.abs(hv - fv)
-        i = int(np.argmax(gaps))
-        margins = []
-        for r, v, s in zip(rs, hv, se):
-            if r >= f.mu:
-                margins.append(v - hfunction.beurling_bound(f.mu, float(r)) + 3.0 * s)
-        bm = float(min(margins)) if margins else 0.0
-        ulc = tuple(ulc_diagnostics(omega, alpha))
-        stages.append(StageReport(
-            n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
-            sigma_n=sigma, hdiff=hd, arc_bound_margin=arc_margin,
-            inversion_residual=res.residual,
-            sweeps=res.sweeps, fd_error=res.fd_error,
-            eval_radii=tuple(float(r) for r in rs),
-            h_values=tuple(float(v) for v in hv),
-            h_std_errors=tuple(float(s) for s in se),
-            sup_gap=float(gaps[i]), sup_gap_se=float(se[i]),
-            beurling_ok=bm >= 0.0, beurling_margin=bm,
-            ulc=ulc, seconds=time.perf_counter() - t0))
+        # the module global, looked up per call: a rebinding is seen
+        return steps, solve_circle_domain(steps, settings)
+
+    # One background thread inverts the stages in order, so stage k + 1
+    # inverts while stage k verifies: SuperLU releases the GIL.
+    pool = ThreadPoolExecutor(1)
+    try:
+        inversions = [pool.submit(invert, n) for n in n_list]
+        stages = []
+        for n, inversion in zip(n_list, inversions):
+            t0 = time.perf_counter()
+            steps, res = inversion.result()  # its SolveError surfaces here
+            x = res.domain
+            kap = bounds.kappa(n, f.mu, f.M)
+            psis = x.psis[:-1]
+            lows = [(p, bounds.arc_lower_bound(b, r, x.outer_radius))
+                    for r, p, b in zip(x.radii[:-1], psis, steps.jumps[:-1],
+                                       strict=True)]
+            arc_margin = min((float(p - lo) for p, lo in lows if lo is not None),
+                             default=math.inf)
+            sigma = int(np.sum(psis <= kap))
+            omega = build_blocked(x, kap)
+            hd = bounds.hdiff_bound(omega)
+            rs = _eval_radii(f, steps.radii)
+            table = estimate_h(omega, rs, 0.0, verify_samples,
+                               replace(wos, seed=settings.seed + 104729 * n))
+            hv = table.values
+            se = table.std_errors
+            fv = hfunction.evaluate(f, rs)
+            gaps = np.abs(hv - fv)
+            i = int(np.argmax(gaps))
+            margins = []
+            for r, v, s in zip(rs, hv, se):
+                if r >= f.mu:
+                    margins.append(v - hfunction.beurling_bound(f.mu, float(r))
+                                   + 3.0 * s)
+            bm = float(min(margins)) if margins else 0.0
+            ulc = tuple(ulc_diagnostics(omega, alpha))
+            stages.append(StageReport(
+                n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
+                sigma_n=sigma, hdiff=hd, arc_bound_margin=arc_margin,
+                inversion_residual=res.residual,
+                sweeps=res.sweeps, fd_error=res.fd_error,
+                eval_radii=tuple(float(r) for r in rs),
+                h_values=tuple(float(v) for v in hv),
+                h_std_errors=tuple(float(s) for s in se),
+                sup_gap=float(gaps[i]), sup_gap_se=float(se[i]),
+                beurling_ok=bm >= 0.0, beurling_margin=bm,
+                ulc=ulc, seconds=time.perf_counter() - t0))
+    finally:
+        # on an error, drop the inversions not started; join the running one
+        pool.shutdown(wait=True, cancel_futures=True)
     gaps_mono = all(
         b.sup_gap <= a.sup_gap + 3.0 * (a.sup_gap_se + b.sup_gap_se)
         for a, b in zip(stages, stages[1:]))

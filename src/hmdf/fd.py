@@ -57,6 +57,10 @@ MIN_N_THETA = 8  # coarsest usable angular resolution
 # Widest cell, in grid steps h, under a frozen count; with cells held to
 # [h/2, 3h/2] or [0, 2h] instead, jump-ramp n = 64 at 512 stalls at 3.8e-3.
 _MAX_CELL = 4.0
+# The harmonic measure of the whole boundary is 1.  The weights sum to 1
+# within 1e-12 on well-spaced grids; their error grows as two radii close
+# in (0.14 at a gap of 1e-15), so a larger error means a degenerate grid.
+_WEIGHT_SUM_TOL = 1e-6
 
 
 def _feature_rays(d) -> list[float]:
@@ -142,7 +146,8 @@ class FdSolver:
     ``self.counts`` holds the cell count of each gap between feature rays:
     the ``frozen`` counts (an earlier solver's ``counts``) while they fit,
     else the fresh ceil(gap / h).  Raises ValueError for an ``n_theta``
-    below ``MIN_N_THETA``.
+    below ``MIN_N_THETA``, and RuntimeError when the weights do not sum to
+    1 within ``_WEIGHT_SUM_TOL``, as on rings too close to resolve.
     """
 
     def __init__(self, dom: geometry.Domain, n_theta: int = 512, frozen=None):
@@ -208,14 +213,17 @@ class FdSolver:
         r = rho[:nr - 1][:, None]
         hm = h_m[:, None]
         hp = h_p[:nr - 1][:, None]
-        D = hm * hp * (hm + hp)
-        c_in = np.broadcast_to(hp * (2.0 - hp / r) / D, (nr - 1, N))
-        c_out = np.broadcast_to(hm * (2.0 + hm / r) / D, (nr - 1, N))
-        c_ctr = (-2.0 * (hm + hp) + (hp * hp - hm * hm) / r) / D
-        r2 = r * r
-        a_in = 2.0 / (g_m * (g_m + g_p))[None, :] / r2
-        a_out = 2.0 / (g_p * (g_m + g_p))[None, :] / r2
-        a_ctr = -2.0 / (g_m * g_p)[None, :] / r2
+        # Rings closer than rounding make these coefficients infinite; the
+        # weight-sum check below reports such a grid.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D = hm * hp * (hm + hp)
+            c_in = np.broadcast_to(hp * (2.0 - hp / r) / D, (nr - 1, N))
+            c_out = np.broadcast_to(hm * (2.0 + hm / r) / D, (nr - 1, N))
+            c_ctr = (-2.0 * (hm + hp) + (hp * hp - hm * hm) / r) / D
+            r2 = r * r
+            a_in = 2.0 / (g_m * (g_m + g_p))[None, :] / r2
+            a_out = 2.0 / (g_p * (g_m + g_p))[None, :] / r2
+            a_ctr = -2.0 / (g_m * g_p)[None, :] / r2
 
         I, J = np.nonzero(~is_dir[:nr - 1])
         row = uid[I, J]
@@ -272,6 +280,10 @@ class FdSolver:
         self.dir_radius = rho[np.nonzero(is_dir)[0]]
         self.weights = w
         self.weight_sum = float(w.sum())
+        if not abs(self.weight_sum - 1.0) <= _WEIGHT_SUM_TOL:  # NaN too
+            raise RuntimeError(
+                f"fd weights sum to {self.weight_sum!r}, not 1: the grid "
+                f"cannot resolve this domain (radii too close?)")
         self.n_unknowns = n_unk
         self._uid, self._did = uid, did
         # every id up to the outer circle's n + g, the largest, is counted

@@ -213,7 +213,8 @@ Domain = Union[CircleDomain, BlockedCircleDomain]
 # ---------------------------------------------------------------------------
 # Distance queries.  Everything is vectorized over complex arrays because the
 # walk-on-spheres engine calls this in bulk: ``nearest_boundary`` at every
-# walk step, ``nearest_feature`` once per batch at the exit points only.
+# walk step, ``nearest_feature`` once per group of batches at the exit
+# points only.
 
 
 # Slack of the pruning test per unit of |z| + M (M the outer radius): the

@@ -190,7 +190,6 @@ class NecessaryReport:
     range_ok: bool
     beurling_ok: bool
     first_violation: tuple[float, float, float] | None = None  # (r, f(r), bound)
-    grid_size: int = 1024
 
     @property
     def ok(self) -> bool:
@@ -228,7 +227,7 @@ def necessary_checks(f: CandidateH) -> NecessaryReport:
         if v < bound - 1e-12:
             first = (r, v, bound)
             break
-    return NecessaryReport(monotone, range_ok, first is None, first, _GRID_SIZE)
+    return NecessaryReport(monotone, range_ok, first is None, first)
 
 
 def example_jump_ramp(mu: float = 1.0, gap: float = 0.0992,

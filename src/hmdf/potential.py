@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
+# Batches one thread steps together: a step query carries at most
+# _GROUP * _BATCH points.
+_GROUP = 4
 # Walks still running after this many steps are discarded and tallied.
 _MAX_STEPS = 10_000
 
@@ -159,13 +162,16 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     Walks jump to a uniform point of the largest inscribed circle until
     they enter the epsilon shell; the nearest feature there is the exit.
     Walks still running after ``_MAX_STEPS`` steps are discarded.
-    Each step asks only for the distance (``geometry.nearest_boundary``);
-    each batch names the features of its own exits at its end, in one
-    ``geometry.nearest_feature`` query over its exit points only.
-    Batches are seeded as (seed, batch_index) and each writes its own slice
-    of the result, so results depend only on (seed, n_samples): an ensemble
-    of several batches runs them on up to the usable cores, byte-identical
-    to one core.
+    Each step asks only for the distance (``geometry.nearest_boundary``).
+    The walks run in batches of ``_BATCH``, seeded as (seed, batch_index),
+    each writing its own slice of the result.  A thread steps a group of
+    up to ``_GROUP`` batches together, one distance query per step over
+    the group's live walks, while each batch draws its directions from its
+    own stream for its own live walks in walk order; the group names the
+    features of its exits at its end, in one ``geometry.nearest_feature``
+    query over its exit points only.  So results depend only on (seed,
+    n_samples): an ensemble runs on up to the usable cores, byte-identical
+    to one core and to one batch at a time.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -178,11 +184,15 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     # Every walk starts at z0: one query serves the first step of all.
     start = _distance(dom, np.full(1, complex(z0)))
 
-    def walk(batch: int) -> tuple[int, int]:
-        """Walk one batch into its slice; return its discards and steps."""
-        lo = batch * _BATCH
-        b = min(_BATCH, n_samples - lo)
-        rng = np.random.default_rng([config.seed, batch])
+    def walk(group: range) -> tuple[int, int]:
+        """Walk a group of batches into their slices; return their discards
+        and steps."""
+        los = [batch * _BATCH for batch in group]
+        sizes = [min(_BATCH, n_samples - lo) for lo in los]
+        rngs = [np.random.default_rng([config.seed, batch]) for batch in group]
+        # the group's walks, batch after batch; batch k's first is firsts[k]
+        firsts = np.cumsum([0] + sizes[:-1])
+        b = sum(sizes)
         z = np.full(b, complex(z0))
         alive = np.arange(b)
         exit_z = np.empty(b, dtype=complex)
@@ -207,11 +217,16 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
                 dist = dist[keep]
             if z.size == 0:
                 break
-            u = rng.random(z.size)
+            if len(rngs) == 1:
+                u = rngs[0].random(z.size)
+            else:  # alive stays sorted: count each batch's live walks
+                live = np.diff(np.searchsorted(alive, firsts), append=z.size)
+                u = np.concatenate([rng.random(m) for rng, m in zip(rngs, live)])
             z = z + dist * np.exp(2j * math.pi * u)
-        # The batch's exits name their features in one query.
+        # The group's exits name their features in one query.
         out = np.flatnonzero(done)
-        sel = lo + out
+        k = np.searchsorted(firsts, out, side="right") - 1
+        sel = np.array(los)[k] + (out - firsts[k])
         kinds[sel], indices[sel], moduli[sel] = _feature(dom, exit_z[out],
                                                          exit_d[out])
         done_mask[sel] = True
@@ -219,10 +234,15 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
 
     n_batches = -(-n_samples // _BATCH)
     workers = min(n_batches, _usable_cores())
+    # Thread t's lane holds batches t, t + workers, ...; each round takes
+    # the next group of up to _GROUP batches from every lane.
+    lanes = [range(t, n_batches, workers) for t in range(workers)]
+    groups = [lane[i:i + _GROUP] for i in range(0, len(lanes[0]), _GROUP)
+              for lane in lanes if i < len(lane)]
     if workers == 1:
-        counts = [walk(i) for i in range(n_batches)]
+        counts = [walk(g) for g in groups]
     else:
-        counts = _run_batches(walk, n_batches, workers)
+        counts = _run_batches(walk, groups, workers)
     done = done_mask.sum()
     return ExitEnsemble(kinds[done_mask], indices[done_mask], moduli[done_mask],
                         int(sum(d for d, _ in counts)), int(done),
@@ -236,15 +256,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_batches(walk, n_batches: int, workers: int) -> list:
-    """``walk(i)`` for every batch ``i`` on ``workers`` threads, in batch
-    order.  NumPy releases the GIL in its array loops, so batches overlap.
-    The first error in batch order cancels the batches not yet started and
-    is raised once the running ones end; every thread is joined before
-    this returns."""
+def _run_batches(walk, groups: list, workers: int) -> list:
+    """``walk(group)`` for every group of batches on ``workers`` threads,
+    in group order.  NumPy releases the GIL in its array loops, so groups
+    overlap.  The first error in group order cancels the groups not yet
+    started and is raised once the running ones end; every thread is
+    joined before this returns."""
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(walk, range(n_batches)))
+        return list(pool.map(walk, groups))
 
 
 def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate]:

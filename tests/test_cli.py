@@ -227,6 +227,19 @@ class TestExitCodes:
         r = run_cli(["compute", "--domain", str(p), "--engine", "fd"])
         assert r.returncode == 3
 
+    def test_fd_unresolved_radius_gap_exits_three(self, tmp_path):
+        # read off this grid, h(2) was 1.0751523349308845 with exit 0
+        p = tmp_path / "gap.json"
+        p.write_text(json.dumps({"kind": "circle",
+                                 "radii": [1.0, 1.000000000000001, 2.0],
+                                 "half_arclengths": [1.0, 2.0, math.pi]}))
+        r = run_cli(["compute", "--domain", str(p), "--engine", "fd",
+                     "--resolution", "64", "--radii", "1.5,2.0"])
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("engine error: fd weights sum to 1.075")
+        assert r.stderr.count("\n") == 1  # no RuntimeWarning lines
+
     def test_samples_past_memory_exit_three(self, files):
         # the first allocation of 10^13 walks fails at once, before any walk
         r = run_cli(["compute", "--domain", files["dom"], "--engine", "wos",

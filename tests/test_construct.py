@@ -1,7 +1,9 @@
 """Inversion of step targets, gate insertion, candidate certification, and
 the limit-uniformity diagnostics."""
+import concurrent.futures
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -369,6 +371,80 @@ class TestPipeline:
         with pytest.raises(ValueError, match="strictly increasing, got "
                                              + ", ".join(map(str, n_list))):
             construct.run_pipeline(hfunction.example_jump_ramp(), n_list=n_list)
+
+    def test_pipelined_stages_match_a_sequential_run(self, monkeypatch):
+        f = hfunction.example_jump_ramp()
+        settings = SolveSettings(resolution=64)
+        threads = []
+        solve = construct.solve_circle_domain
+
+        def recording(steps, settings):
+            threads.append(threading.current_thread())
+            return solve(steps, settings)
+
+        monkeypatch.setattr(construct, "solve_circle_domain", recording)
+
+        def run():
+            threads.clear()
+            rep = construct.run_pipeline(f, (2, 4, 8), settings,
+                                         verify_samples=20_000)
+            return dataclasses.replace(rep, stages=tuple(
+                dataclasses.replace(st, seconds=0.0) for st in rep.stages))
+
+        before = threading.active_count()
+        piped = run()
+        assert threading.active_count() == before
+        assert len(threads) == 3
+        assert threading.main_thread() not in threads
+
+        class OnDemand:
+            """Runs each task in the thread that asks for its result, when
+            it asks: each stage inverts, then verifies, as one loop."""
+
+            def __init__(self, workers):
+                pass
+
+            def submit(self, fn, *args):
+                return type("Task", (), {"result": lambda _: fn(*args)})()
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", OnDemand)
+        sequential = run()
+        assert threads == [threading.main_thread()] * 3
+        assert piped == sequential
+        assert piped.verdict == "PASS"
+
+    def test_stage_error_propagates_and_joins_threads(self, monkeypatch):
+        # the second stage's inversion stalls; the first verifies first
+        f = hfunction.example_jump_ramp()
+        stall = SolveSettings(resolution=32, tol=1e-18)
+        with pytest.raises(SolveError) as sequential:
+            solve_circle_domain(hfunction.step_approximation(f, 4), stall)
+        calls = []
+        solve = construct.solve_circle_domain
+
+        def stalls_at_stage_two(steps, settings):
+            calls.append(len(steps.radii))
+            return solve(steps, stall if len(calls) == 2 else settings)
+
+        verified = []
+        estimate = construct.estimate_h
+
+        def recording(*args):
+            verified.append(len(calls))
+            return estimate(*args)
+
+        monkeypatch.setattr(construct, "solve_circle_domain", stalls_at_stage_two)
+        monkeypatch.setattr(construct, "estimate_h", recording)
+        before = threading.active_count()
+        with pytest.raises(SolveError) as piped:
+            construct.run_pipeline(f, (2, 4, 8), SolveSettings(resolution=64),
+                                   verify_samples=20_000)
+        assert str(piped.value) == str(sequential.value)
+        assert len(verified) == 1  # stage 1 verified, stage 2 raised
+        assert threading.active_count() == before
 
     def test_sigma_counts_small_arcs(self):
         x = CircleDomain.from_arrays([1.0, 1.5, 2.0], [0.01, 1.0, math.pi])

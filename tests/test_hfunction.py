@@ -216,7 +216,7 @@ def scalar_necessary_checks(f, grid_size=1024):
             break
     return NecessaryReport(bool(np.all(np.diff(vals) >= -1e-15)),
                            bool(np.all((vals >= 0.0) & (vals <= 1.0))),
-                           first is None, first, grid_size)
+                           first is None, first)
 
 
 @settings(max_examples=80, deadline=None)

@@ -156,6 +156,14 @@ def test_import_loads_no_scipy(module, prefix):
     assert run_fresh(code) == "[]\n"
 
 
+def test_import_loads_no_thread_pool():
+    # run_pipeline imports the pool when it runs, so the benchmark's
+    # setup, which imports construct, never loads it
+    code = ("import sys, hmdf.cli, hmdf.construct\n"
+            "print('concurrent.futures' in sys.modules)")
+    assert run_fresh(code) == "False\n"
+
+
 def test_inversion_loads_no_optimizer():
     # jump-ramp n = 4 at 64 crosses filler-count thresholds on its way in
     code = """\

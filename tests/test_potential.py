@@ -196,7 +196,7 @@ class TestWos:
         assert self._digest(self._CONSTRUCT_16, n_samples, 11) == (
             n_samples, 0, want)
 
-    def test_features_resolved_once_per_batch_at_its_exits(self, monkeypatch):
+    def test_features_resolved_once_per_group_at_its_exits(self, monkeypatch):
         calls = []
         feature = geometry.nearest_feature
 
@@ -213,7 +213,8 @@ class TestWos:
         monkeypatch.setattr(potential, "_MAX_STEPS", 40)
         ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=11))
         assert ens.discard_count > 0  # discarded walks are never resolved
-        assert len(calls) == 3
+        # two threads: one steps batches 0 and 2 together, one batch 1
+        assert len(calls) == 2
         assert sum(z.size for _, z, _ in calls) == ens.sample_count
         for _, z, dist in calls:
             # exit points only, with the distances their last step took
@@ -225,6 +226,72 @@ class TestWos:
         dist = geometry.nearest_boundary(z, dom)
         assert np.array_equal(np.sort(ens.moduli),
                               np.sort(feature(z, dom, dist)[2]))
+
+    @staticmethod
+    def _one_batch_at_a_time(dom, z0, n_samples, seed):
+        """Reference walker: the batches of ``wos_exit_ensemble`` walked
+        one after another, each on its own, with a full distance query per
+        step and one feature query per batch."""
+        eps = WosConfig().epsilon * dom.outer_radius
+        parts, discards, steps = [], 0, 0
+        for batch, lo in enumerate(range(0, n_samples, potential._BATCH)):
+            b = min(potential._BATCH, n_samples - lo)
+            rng = np.random.default_rng([seed, batch])
+            z, alive = np.full(b, complex(z0)), np.arange(b)
+            exit_z, exit_d = np.empty(b, dtype=complex), np.empty(b)
+            done = np.zeros(b, dtype=bool)
+            for _ in range(potential._MAX_STEPS):
+                dist = geometry.nearest_boundary(z, dom)
+                steps += z.size
+                hit = dist < eps
+                exit_z[alive[hit]], exit_d[alive[hit]] = z[hit], dist[hit]
+                done[alive[hit]] = True
+                z, alive, dist = z[~hit], alive[~hit], dist[~hit]
+                if z.size == 0:
+                    break
+                z = z + dist * np.exp(2j * math.pi * rng.random(z.size))
+            discards += alive.size
+            parts.append(geometry.nearest_feature(exit_z[done], dom,
+                                                  exit_d[done]))
+        kinds, indices, moduli = (np.concatenate(a) for a in zip(*parts))
+        return kinds, indices, moduli, discards, steps
+
+    @pytest.mark.parametrize("max_steps", [10_000, 6])
+    def test_batch_groups_match_one_batch_at_a_time(self, monkeypatch,
+                                                    max_steps):
+        # 14 batches of 97 walks, the last of 5: more than one round of
+        # groups on 1, 2 and 3 cores, and a short last batch in a group
+        monkeypatch.setattr(potential, "_BATCH", 97)
+        monkeypatch.setattr(potential, "_MAX_STEPS", max_steps)
+        n = 13 * 97 + 5
+        dom = self._CONSTRUCT_16
+        want = self._one_batch_at_a_time(dom, 0.25, n, 7)
+        assert (want[3] > 0) == (max_steps == 6)
+        sizes = []
+        nearest = geometry.nearest_boundary
+
+        def recording(z, d):
+            sizes.append(z.size)
+            return nearest(z, d)
+
+        monkeypatch.setattr(geometry, "nearest_boundary", recording)
+        for cores in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, c=cores: c, raising=False)
+            sizes.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often: a lost write shows
+            try:
+                ens = wos_exit_ensemble(dom, 0.25, n, WosConfig(seed=7))
+            finally:
+                sys.setswitchinterval(interval)
+            got = (ens.kinds, ens.indices, ens.moduli)
+            for a, b in zip(want[:3], got):
+                assert a.tobytes() == b.tobytes()
+            assert (ens.discard_count, ens.steps) == want[3:]
+            assert ens.sample_count == n - ens.discard_count
+            # groups share step queries, within the memory bound
+            assert potential._BATCH < max(sizes) <= potential._GROUP * potential._BATCH
 
     @pytest.mark.parametrize("max_steps, reflect", [
         (10_000, False),
@@ -510,6 +577,20 @@ class TestFdSolver:
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
             FdSolver(CircleDomain.from_arrays([2.0, 1.0], [0.5, math.pi]))
+
+    def test_unresolved_radius_gap_raises(self, recwarn):
+        # two radii one ulp-scale apart: the weights sum to 1.075 at 64
+        # and 1.14 at 512, so every measure read off them would be wrong
+        dom = CircleDomain.from_arrays([1.0, 1.000000000000001, 2.0],
+                                       [1.0, 2.0, math.pi])
+        for resolution in (64, 512):
+            with pytest.raises(RuntimeError, match="fd weights sum to 1.[01]"):
+                FdSolver(dom, resolution)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # a gap the grid still resolves passes the check
+        near = CircleDomain.from_arrays([1.0, 1.0 + 1e-9, 2.0],
+                                        [1.0, 2.0, math.pi])
+        assert FdSolver(near, 512).weight_sum == pytest.approx(1.0, abs=1e-6)
 
     # Values of the full-circle grid solver this half-grid solver replaced,
     # at n_theta = 256: (domain, unknowns, arc_measures, gate_measures,
