@@ -383,11 +383,14 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     that long.  Invalid WoS settings (``WosConfig``) raise ValueError
     before the first stage.
 
-    The inversions run in stage order on one background thread, so the
-    inversion of stage k + 1 overlaps the verification of stage k; every
-    output but ``StageReport.seconds`` is that of running the stages one
-    after another, and a stage's SolveError is raised when that stage is
-    reached.  No thread outlives the call."""
+    The inversions run in stage order on one background thread, each
+    submitted when the stage before it is taken up, so the inversion of
+    stage k + 1 overlaps the verification of stage k; every output but
+    ``StageReport.seconds`` is that of running the stages one after
+    another, and a stage's SolveError is raised when that stage is
+    reached.  An error (or KeyboardInterrupt) while stage k verifies
+    reaches the caller once the inversion of stage k + 1 ends, which at
+    resolution 512 can take seconds.  No thread outlives the call."""
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"approximation levels must be strictly increasing, "
                          f"got {', '.join(map(str, n_list))}")
@@ -401,15 +404,16 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
         # the module global, looked up per call: a rebinding is seen
         return steps, solve_circle_domain(steps, settings)
 
-    # One background thread inverts the stages in order, so stage k + 1
-    # inverts while stage k verifies: SuperLU releases the GIL.
+    # One background thread inverts the stages in order, one stage ahead,
+    # so stage k + 1 inverts while stage k verifies: SuperLU releases the GIL.
     pool = ThreadPoolExecutor(1)
     try:
-        inversions = [pool.submit(invert, n) for n in n_list]
+        ahead = [pool.submit(invert, n) for n in n_list[:1]]
         stages = []
-        for n, inversion in zip(n_list, inversions):
+        for k, n in enumerate(n_list):
             t0 = time.perf_counter()
-            steps, res = inversion.result()  # its SolveError surfaces here
+            steps, res = ahead.pop().result()  # its SolveError surfaces here
+            ahead += [pool.submit(invert, m) for m in n_list[k + 1:k + 2]]
             x = res.domain
             kap = bounds.kappa(n, f.mu, f.M)
             psis = x.psis[:-1]
@@ -448,7 +452,7 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
                 beurling_ok=bm >= 0.0, beurling_margin=bm,
                 ulc=ulc, seconds=time.perf_counter() - t0))
     finally:
-        # on an error, drop the inversions not started; join the running one
+        # on an error, drop the next inversion if not started, else join it
         pool.shutdown(wait=True, cancel_futures=True)
     gaps_mono = all(
         b.sup_gap <= a.sup_gap + 3.0 * (a.sup_gap_se + b.sup_gap_se)

@@ -187,12 +187,11 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
     def walk(group: range) -> tuple[int, int]:
         """Walk a group of batches into their slices; return their discards
         and steps."""
-        los = [batch * _BATCH for batch in group]
-        sizes = [min(_BATCH, n_samples - lo) for lo in los]
+        lo = group[0] * _BATCH
+        b = min(len(group) * _BATCH, n_samples - lo)
         rngs = [np.random.default_rng([config.seed, batch]) for batch in group]
         # the group's walks, batch after batch; batch k's first is firsts[k]
-        firsts = np.cumsum([0] + sizes[:-1])
-        b = sum(sizes)
+        firsts = np.arange(len(group)) * _BATCH
         z = np.full(b, complex(z0))
         alive = np.arange(b)
         exit_z = np.empty(b, dtype=complex)
@@ -217,16 +216,15 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
                 dist = dist[keep]
             if z.size == 0:
                 break
-            if len(rngs) == 1:
-                u = rngs[0].random(z.size)
-            else:  # alive stays sorted: count each batch's live walks
-                live = np.diff(np.searchsorted(alive, firsts), append=z.size)
-                u = np.concatenate([rng.random(m) for rng, m in zip(rngs, live)])
+            # alive stays sorted: batch k's live walks are cuts[k]:cuts[k + 1]
+            cuts = np.append(np.searchsorted(alive, firsts), z.size)
+            u = np.empty(z.size)
+            for rng, i, j in zip(rngs, cuts, cuts[1:]):
+                rng.random(out=u[i:j])
             z = z + dist * np.exp(2j * math.pi * u)
         # The group's exits name their features in one query.
         out = np.flatnonzero(done)
-        k = np.searchsorted(firsts, out, side="right") - 1
-        sel = np.array(los)[k] + (out - firsts[k])
+        sel = lo + out
         kinds[sel], indices[sel], moduli[sel] = _feature(dom, exit_z[out],
                                                          exit_d[out])
         done_mask[sel] = True
@@ -234,11 +232,11 @@ def wos_exit_ensemble(dom: WosDomain, z0: complex = 0.0, n_samples: int = 10_000
 
     n_batches = -(-n_samples // _BATCH)
     workers = min(n_batches, _usable_cores())
-    # Thread t's lane holds batches t, t + workers, ...; each round takes
-    # the next group of up to _GROUP batches from every lane.
-    lanes = [range(t, n_batches, workers) for t in range(workers)]
-    groups = [lane[i:i + _GROUP] for i in range(0, len(lanes[0]), _GROUP)
-              for lane in lanes if i < len(lane)]
+    # Contiguous groups of up to _GROUP batches, a multiple of workers of
+    # them, their sizes differing by at most one batch.
+    n_groups = workers * -(-n_batches // (workers * _GROUP))
+    groups = [range(n_batches * i // n_groups, n_batches * (i + 1) // n_groups)
+              for i in range(n_groups)]
     if workers == 1:
         counts = [walk(g) for g in groups]
     else:

@@ -444,6 +444,27 @@ class TestPipeline:
                                    verify_samples=20_000)
         assert str(piped.value) == str(sequential.value)
         assert len(verified) == 1  # stage 1 verified, stage 2 raised
+        assert len(calls) == 2  # stage 3 never inverted: one stage ahead
+        assert threading.active_count() == before
+
+    def test_verify_error_waits_for_one_inversion_at_most(self, monkeypatch):
+        calls = []
+        solve = construct.solve_circle_domain
+
+        def recording(steps, settings):
+            calls.append(len(steps.radii))
+            return solve(steps, settings)
+
+        def failing(*args):
+            raise RuntimeError("verification failed")
+
+        monkeypatch.setattr(construct, "solve_circle_domain", recording)
+        monkeypatch.setattr(construct, "estimate_h", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="verification failed"):
+            construct.run_pipeline(hfunction.example_jump_ramp(), (2, 4, 8, 16),
+                                   SolveSettings(resolution=64))
+        assert len(calls) <= 2  # stage 1 and at most the stage after it
         assert threading.active_count() == before
 
     def test_sigma_counts_small_arcs(self):

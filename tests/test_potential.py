@@ -26,8 +26,10 @@ class _MirroredDraws:
     def __init__(self, rng):
         self._rng = rng
 
-    def random(self, size):
-        return -self._rng.random(size)
+    def random(self, size=None, out=None):
+        draws = self._rng.random(size, out=out)
+        draws *= -1
+        return draws
 
 
 def mirror_draws(monkeypatch):
@@ -213,7 +215,7 @@ class TestWos:
         monkeypatch.setattr(potential, "_MAX_STEPS", 40)
         ens = wos_exit_ensemble(dom, 0.0, n, WosConfig(seed=11))
         assert ens.discard_count > 0  # discarded walks are never resolved
-        # two threads: one steps batches 0 and 2 together, one batch 1
+        # two threads: one steps batch 0, the other batches 1 and 2 together
         assert len(calls) == 2
         assert sum(z.size for _, z, _ in calls) == ens.sample_count
         for _, z, dist in calls:
