@@ -6,10 +6,8 @@ evaluates: the gate-difference bound |h_X - h_Omega| (``hdiff_bound``,
 through ``gate_axis_bound`` for gates on the axis), the arc-length lower
 bound that each stage checks against its arcs, the closed-form chi
 supremum and its inverse (for the limit-uniformity diagnostics), the
-m-thresholds, and the kappa inset-angle rule.  The exceptions are
-``chi1`` and ``chi_p``: the chi ladder, whose supremum is ``chi_inf``.
-Vacuous bounds (> 1) are returned as-is; callers compare against the
-formulas verbatim.
+m-thresholds, and the kappa inset-angle rule.  Vacuous bounds (> 1) are
+returned as-is; callers compare against the formulas verbatim.
 """
 from __future__ import annotations
 
@@ -23,8 +21,6 @@ __all__ = [
     "gate_axis_bound",
     "hdiff_bound",
     "arc_lower_bound",
-    "chi1",
-    "chi_p",
     "chi_inf",
     "chi_inf_inverse",
     "thresholds",
@@ -82,30 +78,16 @@ def arc_lower_bound(beta: float, r_k: float, M: float) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# The chi ladder: chi_1 counts out one third of the short arcs, chi_p the
-# recursion, chi_inf the closed-form supremum.
+# The chi ladder: chi_1(delta) = (2/(pi mu)) delta log((128/(pi alpha))
+# (M-mu)/delta) counts out one third of the short arcs, chi_p(delta) =
+# sum_{q<p} chi_1(2^-q delta) is the recursion, and the pipeline uses only
+# its closed-form supremum chi_inf.
 
 
 def _check_delta(delta: float, mu: float, M: float) -> None:
     # A few ulps of slack: M - mu can round below the width M was built from.
     if not (0 < delta <= M - mu + 4.0 * math.ulp(M)):
         raise ValueError("need 0 < delta <= M - mu")
-
-
-def chi1(delta: float, alpha: float, mu: float, M: float) -> float:
-    """chi_1(delta) = (2/(pi mu)) delta log((128/(pi alpha)) (M-mu)/delta)."""
-    _check_delta(delta, mu, M)
-    if not 0 < alpha <= 1:
-        raise ValueError("need alpha in (0, 1]")
-    return (2.0 / (math.pi * mu)) * delta * math.log(
-        (128.0 / (math.pi * alpha)) * (M - mu) / delta)
-
-
-def chi_p(delta: float, p: int, alpha: float, mu: float, M: float) -> float:
-    """chi_p(delta) = sum_{q=0}^{p-1} chi_1(2^-q delta)."""
-    if p < 1:
-        raise ValueError("need p >= 1")
-    return sum(chi1(delta * 2.0 ** (-q), alpha, mu, M) for q in range(p))
 
 
 def chi_inf(delta: float, alpha: float, mu: float, M: float) -> float:

@@ -129,7 +129,7 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     The loop starts from ``settings.warm_start``.  The default, psi_k =
     pi F_k, lies close to the answer for fine step approximations: the
     jump-ramp stages n = 2 to 32 converge in 4 or 5 evaluations each, and
-    n = 64 in about 10.
+    n = 64 in 8.
 
     Each step of the loop costs one fd measure evaluation, of a budget of
     ``_MAX_SWEEPS``.  Damped sweeps, each arc stepped by its own cumulative
@@ -139,9 +139,9 @@ def solve_circle_domain(steps: StepH, settings: SolveSettings = SolveSettings())
     the inter-arc coupling the sweeps cannot.  Each level freezes the
     grid's filler-ray counts at its first evaluation and hands them to
     every later ``fd.FdSolver`` as ``frozen``, which keeps them while they
-    fit (no feature rays merged or separated, no cell grown past 4 h), so
-    the map the loop inverts is smooth and that Jacobian is its exact
-    derivative.
+    fit (no feature rays merged or separated, every cell from h/16 to 4 h
+    wide), so the map the loop inverts is smooth and that Jacobian is its
+    exact derivative.
 
     The loop runs coarse to fine: at ``resolution // 2``, where a
     factorization costs a quarter to a third as much, until ``tol`` or a
@@ -371,6 +371,44 @@ def _eval_radii(f: CandidateH, extra=()) -> np.ndarray:
     return np.array(sorted(set(b) | set(mids)))
 
 
+def _certify_stage(f: CandidateH, alpha: float, n: int, steps: StepH,
+                   res: SolveResult, wos: WosConfig, verify_samples: int,
+                   t0: float) -> StageReport:
+    """Stage n of ``run_pipeline`` from its inversion ``res``: the arc
+    bounds, the blocked domain and its closed-form bound, the WoS table
+    against f and the Beurling bound, and the limit-uniformity checks.
+    ``t0`` is when the main thread took the stage up."""
+    x = res.domain
+    kap = bounds.kappa(n, f.mu, f.M)
+    psis = x.psis[:-1]
+    lows = [(p, bounds.arc_lower_bound(b, r, x.outer_radius))
+            for r, p, b in zip(x.radii[:-1], psis, steps.jumps[:-1], strict=True)]
+    arc_margin = min((float(p - lo) for p, lo in lows if lo is not None),
+                     default=math.inf)
+    omega = build_blocked(x, kap)
+    rs = _eval_radii(f, steps.radii)
+    table = estimate_h(omega, rs, 0.0, verify_samples,
+                       replace(wos, seed=wos.seed + 104729 * n))
+    hv, se = table.values, table.std_errors
+    gaps = np.abs(hv - hfunction.evaluate(f, rs))
+    i = int(np.argmax(gaps))
+    margins = [v - hfunction.beurling_bound(f.mu, float(r)) + 3.0 * s
+               for r, v, s in zip(rs, hv, se) if r >= f.mu]
+    bm = float(min(margins)) if margins else 0.0
+    return StageReport(
+        n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
+        sigma_n=int(np.sum(psis <= kap)), hdiff=bounds.hdiff_bound(omega),
+        arc_bound_margin=arc_margin, inversion_residual=res.residual,
+        sweeps=res.sweeps, fd_error=res.fd_error,
+        eval_radii=tuple(float(r) for r in rs),
+        h_values=tuple(float(v) for v in hv),
+        h_std_errors=tuple(float(s) for s in se),
+        sup_gap=float(gaps[i]), sup_gap_se=float(se[i]),
+        beurling_ok=bm >= 0.0, beurling_margin=bm,
+        ulc=tuple(ulc_diagnostics(omega, alpha)),
+        seconds=time.perf_counter() - t0)
+
+
 def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
                  settings: SolveSettings = SolveSettings(),
                  verify_samples: int = 200_000) -> ConstructionReport:
@@ -396,7 +434,6 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
                          f"got {', '.join(map(str, n_list))}")
     wos = WosConfig(epsilon=settings.epsilon, seed=settings.seed)
     check = check_candidate(f)
-    alpha = check.alpha
     from concurrent.futures import ThreadPoolExecutor  # not at import time
 
     def invert(n):
@@ -414,43 +451,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
             t0 = time.perf_counter()
             steps, res = ahead.pop().result()  # its SolveError surfaces here
             ahead += [pool.submit(invert, m) for m in n_list[k + 1:k + 2]]
-            x = res.domain
-            kap = bounds.kappa(n, f.mu, f.M)
-            psis = x.psis[:-1]
-            lows = [(p, bounds.arc_lower_bound(b, r, x.outer_radius))
-                    for r, p, b in zip(x.radii[:-1], psis, steps.jumps[:-1],
-                                       strict=True)]
-            arc_margin = min((float(p - lo) for p, lo in lows if lo is not None),
-                             default=math.inf)
-            sigma = int(np.sum(psis <= kap))
-            omega = build_blocked(x, kap)
-            hd = bounds.hdiff_bound(omega)
-            rs = _eval_radii(f, steps.radii)
-            table = estimate_h(omega, rs, 0.0, verify_samples,
-                               replace(wos, seed=settings.seed + 104729 * n))
-            hv = table.values
-            se = table.std_errors
-            fv = hfunction.evaluate(f, rs)
-            gaps = np.abs(hv - fv)
-            i = int(np.argmax(gaps))
-            margins = []
-            for r, v, s in zip(rs, hv, se):
-                if r >= f.mu:
-                    margins.append(v - hfunction.beurling_bound(f.mu, float(r))
-                                   + 3.0 * s)
-            bm = float(min(margins)) if margins else 0.0
-            ulc = tuple(ulc_diagnostics(omega, alpha))
-            stages.append(StageReport(
-                n=n, steps=steps, circle=x, blocked=omega, kappa_n=kap,
-                sigma_n=sigma, hdiff=hd, arc_bound_margin=arc_margin,
-                inversion_residual=res.residual,
-                sweeps=res.sweeps, fd_error=res.fd_error,
-                eval_radii=tuple(float(r) for r in rs),
-                h_values=tuple(float(v) for v in hv),
-                h_std_errors=tuple(float(s) for s in se),
-                sup_gap=float(gaps[i]), sup_gap_se=float(se[i]),
-                beurling_ok=bm >= 0.0, beurling_margin=bm,
-                ulc=ulc, seconds=time.perf_counter() - t0))
+            stages.append(_certify_stage(f, check.alpha, n, steps, res, wos,
+                                         verify_samples, t0))
     finally:
         # on an error, drop the next inversion if not started, else join it
         pool.shutdown(wait=True, cancel_futures=True)

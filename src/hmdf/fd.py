@@ -19,10 +19,14 @@ half theta in [0, pi]: the theta-neighbours of the axis rays 0 and pi
 reflect back onto the half-grid, and the origin's circle mean counts each
 off-axis ray twice.  This halves the unknowns of the full circle.
 
-Harmonic measure of every boundary feature at the origin is read off a
-single adjoint solve: if A u_int + B u_dir = 0 is the half-grid interior
-system, the vector w = -B^T A^{-T} e_origin holds one nonnegative weight
-per Dirichlet node -- the full-circle weight of that node plus that of its
+The five-point stencil is assembled once, as one sparse matrix K with a
+row per unknown (the interior nodes in C order, then the origin) and a
+column per grid node, ring by ring, then the origin.  Its columns split
+it into the half-grid interior system A u_int + B u_dir = 0: A holds the
+unknowns' columns and B the Dirichlet nodes'.  Harmonic measure of every
+boundary feature at the origin is read off a single adjoint solve: the
+vector w = -B^T A^{-T} e_origin holds one nonnegative weight per
+Dirichlet node -- the full-circle weight of that node plus that of its
 mirror image off the axis -- and the measure of any feature is the sum of
 its nodes' weights.  Each Dirichlet node carries the flat feature id of
 ``geometry.nearest_feature``: arc k is k, gate k is n + k and the outer
@@ -54,9 +58,11 @@ __all__ = ["FdSolver", "MIN_N_THETA"]
 
 _MERGE = 1e-9   # rays closer than this are merged
 MIN_N_THETA = 8  # coarsest usable angular resolution
-# Widest cell, in grid steps h, under a frozen count; with cells held to
-# [h/2, 3h/2] or [0, 2h] instead, jump-ramp n = 64 at 512 stalls at 3.8e-3.
-_MAX_CELL = 4.0
+# Narrowest and widest cell, in grid steps h, under a frozen count.  With
+# cells held to [h/2, 3h/2], [h/4, 4h] or [0, 2h] instead, jump-ramp
+# n = 64 at 512 stalls at 3.8e-3; with no floor, a gap can close under its
+# count until the weights no longer sum to 1.
+_MIN_CELL, _MAX_CELL = 1.0 / 16.0, 4.0
 # The harmonic measure of the whole boundary is 1.  The weights sum to 1
 # within 1e-12 on well-spaced grids; their error grows as two radii close
 # in (0.14 at a gap of 1e-15), so a larger error means a degenerate grid.
@@ -78,12 +84,15 @@ def _feature_rays(d) -> list[float]:
 def _filler_counts(merged, n_theta: int, frozen) -> tuple[int, ...]:
     """The cell count of each gap between the feature rays ``merged``: the
     ``frozen`` counts while they fit (no feature rays merged or separated,
-    no cell wider than ``_MAX_CELL`` h), else the fresh ceil(gap / h)."""
+    every cell from ``_MIN_CELL`` h to ``_MAX_CELL`` h wide), else the
+    fresh ceil(gap / h)."""
     gaps = np.diff(merged)
     h = 2.0 * math.pi / n_theta
-    if (frozen is not None and len(frozen) == len(gaps)
-            and np.all(gaps <= _MAX_CELL * h * np.asarray(frozen))):
-        return tuple(frozen)
+    if frozen is not None and len(frozen) == len(gaps):
+        counts = np.asarray(frozen)
+        if np.all((_MIN_CELL * h * counts <= gaps)
+                  & (gaps <= _MAX_CELL * h * counts)):
+            return tuple(frozen)
     return tuple(max(1, math.ceil(g / h)) for g in gaps)
 
 
@@ -187,15 +196,12 @@ class FdSolver:
         rho, thetas = self.rho, self.thetas
         nr, N = len(rho), len(thetas)
         is_dir = feature >= 0
-
+        n_unk = int((~is_dir).sum()) + 1  # the interior nodes, then the origin
+        origin = n_unk - 1
         uid = np.full((nr, N), -1, dtype=np.int64)
-        uid[~is_dir] = np.arange((~is_dir).sum())
-        n_int = int((~is_dir).sum())
-        origin = n_int
-        n_unk = n_int + 1
+        uid[~is_dir] = np.arange(origin)
         did = np.full((nr, N), -1, dtype=np.int64)
         did[is_dir] = np.arange(is_dir.sum())
-        n_dir = int(is_dir.sum())
 
         h_m = np.empty(nr - 1)
         h_m[0] = rho[0]
@@ -225,45 +231,30 @@ class FdSolver:
             a_out = 2.0 / (g_p * (g_m + g_p))[None, :] / r2
             a_ctr = -2.0 / (g_m * g_p)[None, :] / r2
 
+        # One stencil K, a row per unknown and a column per grid node (ring
+        # by ring) and the origin: its unknown columns are A, its Dirichlet
+        # ones B.  The left and right links of an axis ray meet on one node.
         I, J = np.nonzero(~is_dir[:nr - 1])
-        row = uid[I, J]
-        a_rows, a_cols, a_vals = [row], [row], [(c_ctr + a_ctr)[I, J]]
-        b_rows, b_cols, b_vals = [], [], []
-
-        def _push(rows, ni, nj, coeff):
-            d_mask = is_dir[ni, nj]
-            a_rows.append(rows[~d_mask])
-            a_cols.append(uid[ni[~d_mask], nj[~d_mask]])
-            a_vals.append(coeff[~d_mask])
-            b_rows.append(rows[d_mask])
-            b_cols.append(did[ni[d_mask], nj[d_mask]])
-            b_vals.append(coeff[d_mask])
-
-        # radial inward: origin for ring 0, ring i-1 otherwise
-        inner = I == 0
-        a_rows.append(row[inner])
-        a_cols.append(np.full(inner.sum(), origin))
-        a_vals.append(c_in[I[inner], J[inner]])
-        _push(row[~inner], I[~inner] - 1, J[~inner], c_in[I[~inner], J[~inner]])
-        _push(row, I + 1, J, c_out[I, J])
-        _push(row, I, left[J], a_in[I, J])
-        _push(row, I, right[J], a_out[I, J])
-
+        node, o_col = I * N + J, nr * N
+        cols = [node,
+                np.where(I > 0, node - N, o_col),  # inward: the origin for ring 0
+                node + N, I * N + left[J], I * N + right[J]]
+        vals = [(c_ctr + a_ctr)[I, J], c_in[I, J], c_out[I, J], a_in[I, J],
+                a_out[I, J]]
+        rows = [uid[I, J]] * len(cols)
         # origin closure: the exact circle mean over the innermost ring,
         # each off-axis ray standing for itself and its mirror image
-        a_rows.append(np.full(N + 1, origin))
-        a_cols.append(np.concatenate([[origin], uid[0]]))
         mult = np.full(N, 2.0)
         mult[[0, -1]] = 1.0
         cell = 0.5 * (g_m + g_p)
-        a_vals.append(np.concatenate([[1.0], -mult * cell / (2.0 * math.pi)]))
-
-        A = coo_matrix((np.concatenate(a_vals),
-                        (np.concatenate(a_rows), np.concatenate(a_cols))),
-                       shape=(n_unk, n_unk)).tocsc()
-        B = coo_matrix((np.concatenate(b_vals),
-                        (np.concatenate(b_rows), np.concatenate(b_cols))),
-                       shape=(n_unk, n_dir)).tocsr()
+        rows.append(np.full(N + 1, origin))
+        cols.append(np.append(o_col, np.arange(N)))
+        vals.append(np.append(1.0, -mult * cell / (2.0 * math.pi)))
+        K = coo_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n_unk, o_col + 1)).tocsc()
+        A = K[:, np.append(np.flatnonzero(~is_dir), o_col)]
+        B = K[:, np.flatnonzero(is_dir)]
 
         # Negating the interior rows makes A an M-matrix, so diagonal
         # pivots are stable and the symmetric pattern can be ordered as one.

@@ -26,7 +26,6 @@ __all__ = [
     "WosConfig",
     "wos_exit_ensemble",
     "estimate_h",
-    "feature_measures",
     "exact_offcenter_disk_h",
     "exact_slit_disk_gate",
 ]
@@ -263,23 +262,6 @@ def _run_batches(walk, groups: list, workers: int) -> list:
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(walk, groups))
-
-
-def feature_measures(ens: ExitEnsemble) -> dict[tuple[str, int], MeasureEstimate]:
-    """Empirical harmonic measure of every boundary feature hit by the
-    ensemble, with binomial standard errors."""
-    out: dict[tuple[str, int], MeasureEstimate] = {}
-    m = ens.sample_count
-    if m == 0:
-        return out
-    keys = np.stack([ens.kinds.astype(np.int64), ens.indices], axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    for (kc, idx), c in zip(uniq, counts):
-        p = c / m
-        se = math.sqrt(p * (1.0 - p) / m)
-        out[(geometry.KINDS[kc], int(idx))] = MeasureEstimate(
-            p, se, "wos", sample_count=m, discard_count=ens.discard_count)
-    return out
 
 
 def estimate_h(dom: WosDomain, radii: Sequence[float], z0: complex = 0.0,

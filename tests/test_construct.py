@@ -193,6 +193,16 @@ class TestSolveCircleDomain:
                                                        tol=tol))
         assert res.converged and res.residual <= tol
 
+    def test_frozen_cells_keep_a_floor(self):
+        # from the uniform start the coarse level drives psi_0 to its 1e-6
+        # clip with eight frozen cells in gap 0; such cells re-freeze below
+        # h/16, where the weights would no longer sum to 1
+        steps = StepH((1.0001095400068059, 1.3875312193860336, 1.88319597940716),
+                      (0.1110572011724411, 0.5897435043577177, 1.0))
+        res = solve_circle_domain(steps, SolveSettings(resolution=128,
+                                                       warm_start="uniform"))
+        assert res.converged and res.residual <= 1e-3
+
     def test_jump_ramp_uniform_warm_start(self):
         # every psi starts on one ray, where the arcs share one Jacobian
         # column; the damped sweeps still separate them

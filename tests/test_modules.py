@@ -1,7 +1,8 @@
 """Every script imports and every name a module exports exists, so a
 deletion that leaves a dangling import or ``__all__`` entry fails here;
 nor does a module or script import a name it never uses, nor does a
-settings class hold a field that only the tests set.
+module export a function or a settings class hold a field that only the
+tests use.
 SciPy loads only where an engine needs it, so commands that do not use
 the fd engine start without it, an inversion loads no more of it than
 the fd engine's sparse solver, and a one-batch WoS ensemble starts no
@@ -9,6 +10,7 @@ thread pool."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 import pathlib
@@ -89,6 +91,41 @@ def test_exports_resolve(name):
     module = importlib.import_module(f"hmdf.{name}")
     assert [n for n in getattr(module, "__all__", ())
             if not hasattr(module, n)] == []
+
+
+def referenced(name: str, sources) -> bool:
+    """Whether any of the ``sources`` reads ``name``, as a bare name or an
+    attribute, outside a ``def`` of that name (an ``__all__`` entry is a
+    string, not a read)."""
+    for source in sources:
+        todo = [ast.parse(source)]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                continue
+            if getattr(node, "id", getattr(node, "attr", None)) == name:
+                return True
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_referenced():
+    source = ("__all__ = ['f', 'g', 'h']\n"
+              "def f(x):\n"
+              "    return f(x - 1)\n"
+              "def h():\n"
+              "    return mod.g\n")
+    assert [n for n in "fgh" if referenced(n, [source])] == ["g"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_used_outside_the_tests(name):
+    # a public function that only the tests call is test code in disguise
+    module = importlib.import_module(f"hmdf.{name}")
+    sources = [p.read_text() for p in CALLERS]
+    assert [n for n in getattr(module, "__all__", ())
+            if inspect.isfunction(getattr(module, n))
+            and not referenced(n, sources)] == []
 
 
 def test_unused_import_check():

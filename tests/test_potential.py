@@ -12,12 +12,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from hmdf import geometry, potential
+from hmdf import fd, geometry, potential
 from hmdf.fd import FdSolver
-from hmdf.geometry import BlockedCircleDomain, CircleDomain
+from hmdf.geometry import ARC, GATE, OUTER, BlockedCircleDomain, CircleDomain
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h, exact_slit_disk_gate,
-                            feature_measures, slit_disk, wos_exit_ensemble)
+                            slit_disk, wos_exit_ensemble)
 
 
 class _MirroredDraws:
@@ -30,6 +30,14 @@ class _MirroredDraws:
         draws = self._rng.random(size, out=out)
         draws *= -1
         return draws
+
+
+def share(ens, kind: int, index: int) -> tuple[float, float]:
+    """The fraction of the ensemble's walks that exit on one boundary
+    feature, and its binomial standard error."""
+    m = ens.sample_count
+    p = np.count_nonzero((ens.kinds == kind) & (ens.indices == index)) / m
+    return p, math.sqrt(p * (1.0 - p) / m)
 
 
 def mirror_draws(monkeypatch):
@@ -113,18 +121,16 @@ class TestWos:
     def test_slit_disk_gate_measures(self):
         dom = slit_disk(1.0, 1.5, 2.0)
         ens = wos_exit_ensemble(dom, 0.0, 60_000, WosConfig(seed=9))
-        fm = feature_measures(ens)
-        seg = fm[("gate", 0)]
+        seg, seg_se = share(ens, GATE, 0)
         exact = exact_slit_disk_gate(1.0, 1.5, 2.0)
-        assert abs(seg.value - exact) <= 3 * seg.std_error + 1e-3
+        assert abs(seg - exact) <= 3 * seg_se + 1e-3
         # exits within the shell of a slit endpoint tie-break to the point
         # arcs; their share vanishes with epsilon and belongs to the slit
-        tips = sum(fm[k].value for k in (("arc", 0), ("arc", 1)) if k in fm)
+        tips = share(ens, ARC, 0)[0] + share(ens, ARC, 1)[0]
         assert tips < 5e-3
-        whole = seg.value + fm[("gate", 1)].value + tips
+        rest, rest_se = share(ens, GATE, 1)
         exact_whole = exact_slit_disk_gate(1.0, 2.0, 2.0)
-        assert abs(whole - exact_whole) <= 3 * (seg.std_error +
-                                                fm[("gate", 1)].std_error) + 1e-3
+        assert abs(seg + rest + tips - exact_whole) <= 3 * (seg_se + rest_se) + 1e-3
 
     def test_reflection_invariance_walkwise(self, monkeypatch):
         # on a symmetric domain, negating every angular draw mirrors each
@@ -443,12 +449,12 @@ class TestFdSolver:
         dom = BlockedCircleDomain(base, (0.3, 0.0))
         s = FdSolver(dom, n_theta=512)
         ens = wos_exit_ensemble(dom, 0.0, 100_000, WosConfig(seed=7))
-        fm = feature_measures(ens)
-        per_kind = {"arc": s.arc_measures(), "gate": s.gate_measures()}
-        for (kind, idx), est in fm.items():
-            fd_val = (s.outer_measure() if kind == "outer-circle"
-                      else per_kind[kind][idx])
-            assert abs(fd_val - est.value) <= 3 * est.std_error + 3e-3
+        fd_vals = {(ARC, k): m for k, m in enumerate(s.arc_measures())}
+        fd_vals.update(((GATE, k), m) for k, m in enumerate(s.gate_measures()))
+        fd_vals[OUTER, len(dom.radii) - 1] = s.outer_measure()
+        for (kind, idx), fd_val in fd_vals.items():
+            p, se = share(ens, kind, idx)
+            assert abs(fd_val - p) <= 3 * se + 3e-3
 
     def test_h_table_monotone_and_saturates(self):
         base = CircleDomain.from_arrays([1.0, 1.4, 2.0], [1.1, 0.7, math.pi])
@@ -563,6 +569,19 @@ class TestFdSolver:
                                                             math.pi))
         assert len(counts(one_ray, fresh)) == 2
 
+    def test_filler_counts_hold_cells_between_floor_and_cap(self):
+        # gap 0 holds 8 frozen cells and gap 1 the rest of the half circle,
+        # 32 h at resolution 64; a frozen count stays while every cell is
+        # from h/16 to 4 h wide
+        h = 2.0 * math.pi / 64
+
+        def counts(a, frozen):
+            return fd._filler_counts([0.0, a, math.pi], 64, frozen)
+
+        assert counts(0.5 * h, (8, 8)) == (8, 8)  # cells of h/16 and 3.9 h
+        assert counts(0.49 * h, (8, 8)) == (1, 32)  # a cell under h/16
+        assert counts(0.5 * h, (8, 7)) == (1, 32)  # cells of 4.5 h
+
     def test_bad_filler_counts_rejected(self):
         dom = self._MIRROR_CASES["circle"][0]
         for res in (0, -4, 7):
@@ -674,6 +693,46 @@ class TestFdSolver:
         total = (s.arc_measures().sum() + s.gate_measures().sum()
                  + s.outer_measure())
         assert abs(total - s.weight_sum) <= 1e-15
+
+    # sha256 of the weights and of the arc-measure Jacobian at resolutions
+    # 64 and 256: a point arc, the slit disk's gates on the axis, and
+    # inset gates beside an axis gate.
+    _GOLDEN = {
+        "point arc": (
+            CircleDomain.from_arrays([1.0, 1.3, 1.7, 2.0],
+                                     [0.8, 0.0, 1.2, math.pi]),
+            {64: ("5ae0d848f750cb7490648eadc27ba41aa8d9eaafe6305185b070b0dd65a66390",
+                  "5307a797218b371f7c9cac5ae30db1eb005896ba884d0ae80ecdd4f42042055e"),
+             256: ("873d75275f4c3cb133717a765cd3d4cf0222a09aef991388c908dcf1c126a8f1",
+                   "7245955bdce495ce47b60ab311a1977d7b53c9a5dfd33df49bfc27ec7580acff")}),
+        "slit": (
+            slit_disk(1.0, 1.5, 2.0),
+            {64: ("f8361f9d5f7bd94a671da209ee2d9547f23c52ac555d882d6aa6c6cbb3f4fc2d",
+                  "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+             256: ("cf08ce7543dc81fa6fd9afe164c319c17f3d04f71cc1097015f8280e29e15200",
+                   "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925")}),
+        "inset gates": (
+            BlockedCircleDomain(
+                CircleDomain.from_arrays([0.9, 1.2, 1.5, 1.9, 2.2],
+                                         [1.3, 2.1, 0.6, 1.7, math.pi]),
+                (0.9, 0.0, 0.35, 1.2)),
+            {64: ("1f895a59a9a43fa9c8276661e3596c7982eebff994cd91328773cbd3eff52344",
+                  "ebd9de3b72e3e69872e1950ebe5cf7b03fcd4a3647d684aece2ce202f6ed74f3"),
+             256: ("3bcab74047442ee24ea6cb8d85c826670b431885714466d212ac76af1cf520ff",
+                   "000d014e3c13814c129429ab411b1dab038cf7392730ac2825d6596bc4070429")}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_golden_weights_and_jacobian(self, name):
+        """Pins the weights and the Jacobian bit for bit (x86-64, NumPy
+        2.4, SciPy 1.17), so a rewrite of the assembly must give the same
+        matrices to the last bit."""
+        dom, want = self._GOLDEN[name]
+        for resolution, digests in want.items():
+            s = FdSolver(dom, resolution)
+            assert (hashlib.sha256(s.weights.tobytes()).hexdigest(),
+                    hashlib.sha256(s.arc_measure_jacobian().tobytes()).hexdigest()
+                    ) == digests, resolution
 
     def _golden_digest(self):
         """sha256 of the weights, the arc, gate and outer measures, the
