@@ -14,11 +14,10 @@ summary line: cases converged and total evaluations, counting a stalled
 case at the evaluations it spent (``SolveError.evaluations``).
 
 Part 2 rebuilds ``FdSolver`` on the jump-ramp solutions and prints the
-median time of each layer of one build: labelling (``_label``),
-factorization (``splu``), solve (the adjoint solves of the build),
-assembly (the rest of the build: rays, rings, matrix assembly and the
-weight bookkeeping), and the on-demand arc-measure Jacobian, with the
-unknown count and the nonzeros of L + U (``lu.nnz``).
+median time of each layer of one build as ``FdSolver.seconds`` records
+it (labelling, assembly, factorization and the adjoint solve), of the
+whole build and of the on-demand arc-measure Jacobian, with the unknown
+count and the nonzeros of L + U (``FdSolver.lu_nnz``).
 
     PYTHONPATH=src python3 scripts/fd_cost.py [--repeats N] [--resolution R]
 """
@@ -88,63 +87,16 @@ def survey_cases(resolution: int):
                        SolveSettings(resolution=res, warm_start=mode))
 
 
-class _Timer:
-    """Wraps ``fd.splu`` and ``FdSolver._label`` to time one build's
-    layers; the factor object's ``solve`` is timed through a proxy."""
-
-    def __init__(self):
-        self.t = {}
-        self.nnz = 0
-
-    def add(self, key, dt):
-        self.t[key] = self.t.get(key, 0.0) + dt
-
-    def install(self):
-        splu, label = fd.splu, fd.FdSolver._label
-        timer = self
-
-        class TimedLU:
-            def __init__(self, lu):
-                self._lu = lu
-
-            def solve(self, *args, **kwargs):
-                t0 = time.perf_counter()
-                out = self._lu.solve(*args, **kwargs)
-                timer.add("solve", time.perf_counter() - t0)
-                return out
-
-            def __getattr__(self, name):
-                return getattr(self._lu, name)
-
-        def timed_splu(*args, **kwargs):
-            t0 = time.perf_counter()
-            lu = splu(*args, **kwargs)
-            timer.add("factor", time.perf_counter() - t0)
-            timer.nnz = lu.nnz
-            return TimedLU(lu)
-
-        def timed_label(*args):
-            t0 = time.perf_counter()
-            out = label(*args)
-            timer.add("label", time.perf_counter() - t0)
-            return out
-
-        fd.splu, fd.FdSolver._label = timed_splu, timed_label
-        return lambda: (setattr(fd, "splu", splu),
-                        setattr(fd.FdSolver, "_label", label))
-
-    def build(self, dom, resolution):
-        self.t = {}
-        t0 = time.perf_counter()
-        solver = fd.FdSolver(dom, n_theta=resolution)
-        total = time.perf_counter() - t0
-        row = dict(self.t)
-        row["assemble"] = total - sum(self.t.values())
-        row["build"] = total
-        t0 = time.perf_counter()
-        solver.arc_measure_jacobian()
-        row["jacobian"] = time.perf_counter() - t0
-        return solver, row
+def build(dom, resolution: int):
+    """One build's solver and seconds: its layers, the whole build and the
+    arc-measure Jacobian."""
+    t0 = time.perf_counter()
+    solver = fd.FdSolver(dom, n_theta=resolution)
+    row = dict(solver.seconds, build=time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    solver.arc_measure_jacobian()
+    row["jacobian"] = time.perf_counter() - t0
+    return solver, row
 
 
 def main() -> None:
@@ -169,25 +121,18 @@ def main() -> None:
     cols = ("label", "assemble", "factor", "solve", "build", "jacobian")
     print(f"{'domain':<16} {'res':>4} {'unknowns':>8} {'lu.nnz':>8} "
           + " ".join(f"{c:>8}" for c in cols))
-    timer = _Timer()
-    restore = timer.install()
-    try:
-        for n in RAMP_N:
-            dom = solved.get(f"jump-ramp n={n}")
-            if dom is None:
-                continue
-            for res in (args.resolution // 2, args.resolution):
-                rows = []
-                for _ in range(args.repeats):
-                    solver, row = timer.build(dom, res)
-                    rows.append(row)
-                cells = [f"{1e3 * statistics.median(r[c] for r in rows):>8.2f}"
-                         for c in cols]
-                print(f"{'jump-ramp n=' + str(n):<16} {res:>4} "
-                      f"{solver.n_unknowns:>8} {timer.nnz:>8} "
-                      + " ".join(cells))
-    finally:
-        restore()
+    for n in RAMP_N:
+        dom = solved.get(f"jump-ramp n={n}")
+        if dom is None:
+            continue
+        for res in (args.resolution // 2, args.resolution):
+            builds = [build(dom, res) for _ in range(args.repeats)]
+            solver = builds[-1][0]
+            cells = [f"{1e3 * statistics.median(r[c] for _, r in builds):>8.2f}"
+                     for c in cols]
+            print(f"{'jump-ramp n=' + str(n):<16} {res:>4} "
+                  f"{solver.n_unknowns:>8} {solver.lu_nnz:>8} "
+                  + " ".join(cells))
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def record_calls(dom, walks: int, seed: int):
         steps.append(np.array(z, dtype=complex))
         return step_query(z, d)
 
-    def recording_exit(z, d, dist=None):
+    def recording_exit(z, d, dist):
         exits.append((np.array(z, dtype=complex), dist))
         return exit_query(z, d, dist)
 

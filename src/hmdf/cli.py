@@ -53,21 +53,29 @@ def _load_object(path: str, what: str) -> dict:
     return data
 
 
+def _numbers(values) -> tuple[float, ...]:
+    """A JSON array of numbers as floats: ValueError for an entry of any
+    other type, a bool or string too, OverflowError past the float range."""
+    if not all(type(x) in (int, float) for x in values):
+        raise ValueError(f"expected numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 def load_domain(path: str):
     data = _load_object(path, "domain")
     kind = data.get("kind")
     try:
-        if kind == "circle":
-            return CircleDomain.from_arrays(data["radii"], data["half_arclengths"])
-        if kind == "blocked":
-            base = CircleDomain.from_arrays(data["radii"], data["half_arclengths"])
-            return BlockedCircleDomain(base, tuple(float(p) for p in data["gate_angles"]))
+        if kind in ("circle", "blocked"):
+            base = CircleDomain.from_arrays(_numbers(data["radii"]),
+                                            _numbers(data["half_arclengths"]))
+            return base if kind == "circle" else BlockedCircleDomain(
+                base, _numbers(data["gate_angles"]))
         if kind == "offcenter-disk":
-            c = data["center"]
+            c = _numbers(data["center"])
             if len(c) != 2:
                 raise ValueError(f"center must be two numbers, got {c!r}")
-            return OffCenterDisk(complex(c[0], c[1]), float(data["radius"]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return OffCenterDisk(complex(c[0], c[1]), _numbers([data["radius"]])[0])
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed domain file ({exc})") from exc
     raise InputError(f"{path}: unknown domain kind {kind!r}")
 
@@ -96,13 +104,12 @@ def load_function(path: str):
     kind = data.get("kind")
     try:
         if kind == "candidate":
-            return CandidateH(tuple(map(float, data["breakpoints"])),
-                              tuple(map(float, data["values"])),
+            return CandidateH(_numbers(data["breakpoints"]),
+                              _numbers(data["values"]),
                               tuple(data["segments"]))
         if kind == "step":
-            return StepH(tuple(map(float, data["radii"])),
-                         tuple(map(float, data["values"])))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return StepH(_numbers(data["radii"]), _numbers(data["values"]))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed function file ({exc})") from exc
     raise InputError(f"{path}: unknown function kind {kind!r}")
 

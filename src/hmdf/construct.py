@@ -290,7 +290,8 @@ def ulc_diagnostics(dom: BlockedCircleDomain, alpha: float) -> list[UlcCheck]:
     n = len(radii) - 1
     out = []
     for eps in _ULC_EPS:
-        delta1 = bounds.chi_inf_inverse(eps / 2.0, alpha, mu, M) if alpha > 0 else 0.0
+        delta1 = (bounds.chi_inf_inverse(eps / 2.0, alpha, mu, M)
+                  if alpha > 0 and M > mu else 0.0)  # a disk has no arc pairs
         delta2 = alpha * math.pi * eps / (M - mu) if M > mu else math.pi
         theta_ok, worst_theta = True, 0.0
         for j in range(n + 1):

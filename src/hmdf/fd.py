@@ -47,6 +47,7 @@ the partial-pivoting default to rounding, with less than half the fill.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -154,22 +155,30 @@ class FdSolver:
     measure sums the nodes labelled with its flat id (module docstring).
     ``self.counts`` holds the cell count of each gap between feature rays:
     the ``frozen`` counts (an earlier solver's ``counts``) while they fit,
-    else the fresh ceil(gap / h).  Raises ValueError for an ``n_theta``
-    below ``MIN_N_THETA``, and RuntimeError when the weights do not sum to
-    1 within ``_WEIGHT_SUM_TOL``, as on rings too close to resolve.
+    else the fresh ceil(gap / h).  ``seconds`` times the build's layers,
+    ``label``, ``factor`` (``splu``), ``solve`` (the adjoint solve) and
+    ``assemble`` (the rest), and ``lu_nnz`` is L + U's ``SuperLU.nnz``.
+    Raises ValueError for an ``n_theta`` below ``MIN_N_THETA``, and
+    RuntimeError when the weights do not sum to 1 within
+    ``_WEIGHT_SUM_TOL``, as on rings too close to resolve.
     """
 
     def __init__(self, dom: geometry.Domain, n_theta: int = 512, frozen=None):
         if int(n_theta) < MIN_N_THETA:
             raise ValueError(f"fd resolution must be at least {MIN_N_THETA}, "
                              f"got {n_theta}")
+        t0 = time.perf_counter()
         self.n_theta = int(n_theta)
         self.domain = dom
         self._psis = dom.psis
         self.thetas, self._ray_t, self.counts, self._psi_ray, phi_ray = (
             _angular_rays(dom, self.n_theta, frozen))
         self.rho, ring_of = _ring_radii(dom, self.n_theta)
-        self._assemble_and_solve(self._label(ring_of, phi_ray))
+        t = time.perf_counter()
+        feature = self._label(ring_of, phi_ray)
+        sec = self.seconds = {"label": time.perf_counter() - t}
+        self._assemble_and_solve(feature)
+        sec["assemble"] = time.perf_counter() - t0 - sum(sec.values())
 
     # -- grid labeling ----------------------------------------------------
 
@@ -215,6 +224,9 @@ class FdSolver:
         left = np.concatenate([[1], np.arange(N - 1)])
         right = np.concatenate([np.arange(1, N), [N - 2]])
         self._g_m, self._g_p = g_m, g_p
+        s_in, s_out, s_ctr = self._s = (2.0 / (g_m * (g_m + g_p)),
+                                        2.0 / (g_p * (g_m + g_p)),
+                                        -2.0 / (g_m * g_p))
 
         r = rho[:nr - 1][:, None]
         hm = h_m[:, None]
@@ -227,9 +239,9 @@ class FdSolver:
             c_out = np.broadcast_to(hm * (2.0 + hm / r) / D, (nr - 1, N))
             c_ctr = (-2.0 * (hm + hp) + (hp * hp - hm * hm) / r) / D
             r2 = r * r
-            a_in = 2.0 / (g_m * (g_m + g_p))[None, :] / r2
-            a_out = 2.0 / (g_p * (g_m + g_p))[None, :] / r2
-            a_ctr = -2.0 / (g_m * g_p)[None, :] / r2
+            a_in = s_in[None, :] / r2
+            a_out = s_out[None, :] / r2
+            a_ctr = s_ctr[None, :] / r2
 
         # One stencil K, a row per unknown and a column per grid node (ring
         # by ring) and the origin: its unknown columns are A, its Dirichlet
@@ -258,13 +270,17 @@ class FdSolver:
 
         # Negating the interior rows makes A an M-matrix, so diagonal
         # pivots are stable and the symmetric pattern can be ordered as one.
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                  options=dict(SymmetricMode=True))
         e0 = np.zeros(n_unk)
         e0[origin] = 1.0
+        t = time.perf_counter()
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                  options=dict(SymmetricMode=True))
+        t1 = time.perf_counter()
         y = lu.solve(e0, trans="T")
+        self.seconds.update(factor=t1 - t, solve=time.perf_counter() - t1)
         w = -(B.T @ y)
         self._lu, self._y, self._B, self._mult = lu, y, B, mult
+        self.lu_nnz = lu.nnz
 
         # Dirichlet node ids number the mask in C order, as masking does
         self._node_feature = feature[is_dir]
@@ -332,13 +348,13 @@ class FdSolver:
         dgap = np.diff(v, axis=1)
         dg_m = np.concatenate([dgap[:, :1], dgap], axis=1)
         dg_p = np.concatenate([dgap, dgap[:, -1:]], axis=1)
-        g_m, g_p = self._g_m, self._g_p
+        g_m, g_p, (s_in, s_out, s_ctr) = self._g_m, self._g_p, self._s
         ds = (dg_m + dg_p) / (g_m + g_p)
         # d a_in, d a_out, d a_ctr per unit 1/r^2 (Y below carries it):
         # each coefficient times its logarithmic derivative
-        d_in = -2.0 / (g_m * (g_m + g_p)) * (dg_m / g_m + ds)
-        d_out = -2.0 / (g_p * (g_m + g_p)) * (dg_p / g_p + ds)
-        d_ctr = 2.0 / (g_m * g_p) * (dg_m / g_m + dg_p / g_p)
+        d_in = -s_in * (dg_m / g_m + ds)
+        d_out = -s_out * (dg_p / g_p + ds)
+        d_ctr = -s_ctr * (dg_m / g_m + dg_p / g_p)
 
         # T_k[i, c] = sum_r dM_k[r, (i, c)] y_r over the rows r of the
         # full system [A B]: the angular stencil of ring i scatters onto

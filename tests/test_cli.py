@@ -58,16 +58,12 @@ class TestFileRoundTrips:
             assert cli.load_domain(p) == d
 
     def test_function(self, tmp_path):
-        p = str(tmp_path / "f.json")
-        f = CandidateH((1.0, 2.0), (0.5, 1.0), ("linear",))
-        p2 = str(tmp_path / "s.json")
-        (tmp_path / "f.json").write_text(json.dumps(
-            {"kind": "candidate", "breakpoints": [1.0, 2.0],
-             "values": [0.5, 1.0], "segments": ["linear"]}))
-        assert cli.load_function(p) == f
-        (tmp_path / "s.json").write_text(json.dumps(
-            {"kind": "step", "radii": [1.0, 2.0], "values": [0.5, 1.0]}))
-        assert cli.load_function(p2) == StepH((1.0, 2.0), (0.5, 1.0))
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(_CANDIDATE))
+        assert cli.load_function(str(p)) == CandidateH((1.0, 2.0), (0.5, 1.0),
+                                                        ("linear",))
+        p.write_text(json.dumps(_STEP))
+        assert cli.load_function(str(p)) == StepH((1.0, 2.0), (0.5, 1.0))
 
 
 class TestExitCodes:
@@ -125,11 +121,9 @@ class TestExitCodes:
         good_disk.write_text(json.dumps({"kind": "offcenter-disk",
                                          "center": [0.5, 0.0], "radius": 1.0}))
         step = tmp_path / "step.json"
-        step.write_text(json.dumps({"kind": "step", "radii": [1.0, 2.0],
-                                    "values": [0.5, 1.0]}))
+        step.write_text(json.dumps(_STEP))
         circle = tmp_path / "circle.json"
-        circle.write_text(json.dumps({"kind": "circle", "radii": [1.0, 2.0],
-                                      "half_arclengths": [0.5, math.pi]}))
+        circle.write_text(json.dumps(_CIRCLE))
         for args in (["compute", "--domain", str(dom), "--engine", "fd"],
                      ["check", "--function", str(fn)],
                      ["compute", "--domain", str(disk), "--engine", "wos"],
@@ -161,6 +155,17 @@ class TestExitCodes:
             assert r.returncode == 2, name
             assert r.stderr.startswith("error:") and "malformed" in r.stderr
             assert r.stdout == ""
+
+    def test_one_step_stage_exits_zero(self, tmp_path):
+        # f(mu) = 0 makes stage n = 1 the disk B(0, M), whose ULC levels
+        # raised "need 0 < delta <= M - mu": exit 2, as if the file were bad
+        fn, out = tmp_path / "fn.json", tmp_path / "out.json"
+        fn.write_text(json.dumps({**_CANDIDATE, "values": [0.0, 1.0]}))
+        r = run_cli(["construct", "--function", str(fn), "--n", "1,2",
+                     "--out", str(out)], _GOOD)
+        assert r.returncode == 0, r.stderr
+        disk = json.loads(out.read_text())["stages"][0]
+        assert [u["delta1"] for u in disk["ulc"]] == [0.0] * 3
 
     def test_non_positive_jump_radius_exits_two(self, tmp_path):
         step = tmp_path / "step.json"
@@ -517,6 +522,8 @@ _COMMANDS = (
 _CIRCLE = {"kind": "circle", "radii": [1.0, 2.0],
            "half_arclengths": [0.5, math.pi]}
 _STEP = {"kind": "step", "radii": [1.0, 2.0], "values": [0.5, 1.0]}
+_CANDIDATE = {"kind": "candidate", "breakpoints": [1.0, 2.0],
+              "values": [0.5, 1.0], "segments": ["linear"]}
 _GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
 
 
@@ -527,9 +534,7 @@ _GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
 # tracebacks with exit code 1
 @example(_COMMANDS[0], _CIRCLE, _STEP,
          {**_GOOD, "HMDF_ENGINE": "fd", "HMDF_RESOLUTION": "0"})
-@example(_COMMANDS[3], _CIRCLE,
-         {"kind": "candidate", "breakpoints": [1.0, 2.0], "values": [0.5, 1.0],
-          "segments": ["linear"]},
+@example(_COMMANDS[3], _CIRCLE, _CANDIDATE,
          {**_GOOD, "HMDF_RESOLUTION": "0"})
 @example(_COMMANDS[0], {"kind": "offcenter-disk", "center": [0.5], "radius": 1.0},
          _STEP, _GOOD)
@@ -537,9 +542,7 @@ _GOOD = {"HMDF_SAMPLES": "200", "HMDF_RESOLUTION": "24"}
 # its first allocation fails at once, before any walk
 @example(_COMMANDS[0], _CIRCLE, _STEP,
          {**_GOOD, "HMDF_ENGINE": "wos", "HMDF_SAMPLES": "10000000000000"})
-@example(_COMMANDS[3], _CIRCLE,
-         {"kind": "candidate", "breakpoints": [1.0, 2.0], "values": [0.5, 1.0],
-          "segments": ["linear"]},
+@example(_COMMANDS[3], _CIRCLE, _CANDIDATE,
          {**_GOOD, "HMDF_SAMPLES": "10000000000000"})
 @given(st.sampled_from(_COMMANDS), st.one_of(_domain_data(), _NON_OBJECTS),
        st.one_of(_function_data(), _NON_OBJECTS), _ENV)
@@ -564,3 +567,20 @@ def test_fuzzed_inputs_exit_with_documented_codes(command, dom, fn, env):
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("bad", [10 ** 400, True, "1.0"],
+                         ids=["huge-int", "true", "string"])
+@pytest.mark.parametrize("command", _COMMANDS[:5], ids=lambda c: c[0])
+def test_non_number_in_file_exits_two(command, bad, tmp_path):
+    # bad stands where 1.0 makes each file valid: an integer past the float
+    # range ended in an OverflowError traceback, and true and "1.0" read 1.0
+    fn = _STEP if command[0] == "invert" else _CANDIDATE
+    paths = {"dom": tmp_path / "dom.json", "fn": tmp_path / "fn.json",
+             "out": tmp_path / "out"}
+    paths["dom"].write_text(json.dumps({**_CIRCLE, "radii": [bad, 2.0]}))
+    paths["fn"].write_text(json.dumps({**fn, "values": [0.5, bad]}))
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, _GOOD), contextlib.redirect_stderr(err):
+        code = cli.main([a.format(**paths) for a in command])
+    assert code == 2 and ": malformed " in err.getvalue()

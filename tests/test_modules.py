@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import hmdf
-from hmdf import fd
+from hmdf import potential
 from hmdf.construct import SolveSettings
 from hmdf.geometry import CircleDomain
 from hmdf.potential import WosConfig
@@ -66,24 +66,31 @@ def test_script_imports(path):
     runpy.run_path(str(path), run_name="imported")
 
 
-def test_fd_cost_layer_timer_builds():
-    # the layer table wraps FdSolver._label, which an import never calls
-    script = runpy.run_path(str(ROOT / "scripts" / "fd_cost.py"),
+def test_fd_cost_build_row():
+    # each build records its layer seconds, which sum to at most the whole
+    # build that fd_cost times around the constructor, and its LU fill
+    build = runpy.run_path(str(ROOT / "scripts" / "fd_cost.py"),
+                           run_name="imported")["build"]
+    dom = CircleDomain.from_arrays([1.0, 1.5, 2.0], [1.0, 0.5, math.pi])
+    solver, row = build(dom, 64)
+    assert sorted(solver.seconds) == ["assemble", "factor", "label", "solve"]
+    assert sorted(row) == ["assemble", "build", "factor", "jacobian",
+                           "label", "solve"]
+    assert 0.0 <= min(solver.seconds.values())
+    assert sum(solver.seconds.values()) <= row["build"]
+    assert solver.lu_nnz == solver._lu.nnz > 0
+
+
+def test_nearest_boundary_cost_records_every_query():
+    script = runpy.run_path(str(ROOT / "scripts" / "nearest_boundary_cost.py"),
                             run_name="imported")
-    label, splu = fd.FdSolver._label, fd.splu
-    timer = script["_Timer"]()
-    restore = timer.install()
-    try:
-        dom = CircleDomain.from_arrays([1.0, 1.5, 2.0], [1.0, 0.5, math.pi])
-        solver, row = timer.build(dom, 64)
-    finally:
-        restore()
-    assert (fd.FdSolver._label, fd.splu) == (label, splu)
-    assert set(row) == {"label", "factor", "solve", "assemble", "build",
-                        "jacobian"}
-    assert timer.nnz > 0
-    assert solver.arc_measures().tobytes() == (
-        fd.FdSolver(dom, 64).arc_measures().tobytes())
+    dom = script["random_blocked"](2, 11)
+    steps, exits = script["record_calls"](dom, 500, 11)
+    ens = potential.wos_exit_ensemble(dom, 0.0, 500, WosConfig(seed=11))
+    # the interior check and the one start query of all walks pass a point
+    # each; every later step queries each live walk's point
+    assert sum(z.size for z in steps) == ens.steps - 500 + 2
+    assert sum(z.size for z, _ in exits) == ens.sample_count
 
 
 @pytest.mark.parametrize("name", MODULES)
