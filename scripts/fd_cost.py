@@ -6,7 +6,8 @@ approximations (n = 2 to 64) with the default settings; six cases whose
 roots lie near a filler-count threshold (n = 4 at resolution 64, n = 8 at
 128, n = 16 at 48, 96 and 192, and n = 16 at the full resolution with
 ``tol`` 5e-5); and the ten criterion-5 targets from each warm start, at
-the full resolution and at half of it.  For each case it prints the
+the full resolution and at half of it (the targets come from
+``perfbench/baseline.py``).  For each case it prints the
 measure evaluations spent per level (at resolution // 2 and at
 resolution) and in total, the residual the solve reports, the residual
 re-measured on a fresh grid, ``fd_error`` and the seconds, then one
@@ -22,7 +23,9 @@ count and the nonzeros of L + U (``FdSolver.lu_nnz``).
     PYTHONPATH=src python3 scripts/fd_cost.py [--repeats N] [--resolution R]
 """
 import argparse
+import pathlib
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -32,21 +35,11 @@ from hmdf.construct import (WARM_STARTS, SolveError, SolveSettings,
                             solve_circle_domain)
 from hmdf.hfunction import StepH
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "perfbench"))
+from baseline import criterion5_targets
+
 RAMP_N = (2, 4, 8, 16, 32, 64)  # jump-ramp stages at the default settings
-
-
-def criterion_5_targets() -> list[StepH]:
-    """The seeded 3-arc targets of acceptance criterion 5."""
-    out = []
-    for i in range(10):
-        rng = np.random.default_rng([7, i])
-        radii = tuple(float(x) for x in np.cumsum(np.concatenate(
-            [[rng.uniform(0.8, 1.2)], rng.uniform(0.2, 0.6, 2)])))
-        jumps = rng.uniform(0.1, 0.5, 3)
-        cum = np.cumsum(jumps) / jumps.sum()
-        cum[-1] = 1.0
-        out.append(StepH(radii, tuple(float(v) for v in cum)))
-    return out
 
 
 def evaluations(name: str, steps: StepH, settings: SolveSettings):
@@ -81,7 +74,7 @@ def survey_cases(resolution: int):
                hfunction.step_approximation(ramp, n),
                SolveSettings(resolution=res, tol=tol))
     for res in (resolution, resolution // 2):
-        for i, steps in enumerate(criterion_5_targets()):
+        for i, steps in enumerate(criterion5_targets()):
             for mode in WARM_STARTS:
                 yield (f"criterion-5 #{i} @{res} {mode}", steps,
                        SolveSettings(resolution=res, warm_start=mode))

@@ -47,7 +47,10 @@ class InputError(ValueError):
 
 def _load_object(path: str, what: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # nested past the parser's depth
+            raise InputError(f"{path}: malformed {what} file ({exc})") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: malformed {what} file (top level is not an object)")
     return data
@@ -329,21 +332,15 @@ def cmd_invert(args) -> int:
 
 def _report_json(rep: construct.ConstructionReport) -> dict:
     def clean(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: clean(v) for k, v in dataclasses.asdict(obj).items()}
+        if isinstance(obj, dict):
+            return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
-        if isinstance(obj, dict):
-            return {str(k): clean(v) for k, v in obj.items()}
-        if isinstance(obj, (np.floating, np.integer)):
-            obj = obj.item()
         if isinstance(obj, float) and not math.isfinite(obj):
             return None  # strict JSON has no NaN (say, a one-level fd_error)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
         return obj
 
-    return clean(rep)
+    return clean(dataclasses.asdict(rep))
 
 
 def cmd_construct(args) -> int:

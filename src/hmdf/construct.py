@@ -245,7 +245,7 @@ def check_candidate(f: CandidateH) -> CheckReport:
     """Evaluate the sufficient condition for f to be the h-function of a
     bounded simply connected domain symmetric about the real axis."""
     alpha = hfunction.minimal_secant_slope(f)
-    beta = hfunction.jump_at_mu(f)
+    beta = f.values[0]  # beta = f(mu), the jump at the inner radius
     nec = hfunction.necessary_checks(f)
     ratio = (f.M - f.mu) / f.mu
     if not (0 < alpha and 0 < beta < 1):

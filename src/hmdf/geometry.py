@@ -33,7 +33,6 @@ __all__ = [
     "BlockedCircleDomain",
     "Domain",
     "NotInteriorError",
-    "KINDS",
     "ARC",
     "GATE",
     "OUTER",
@@ -43,9 +42,8 @@ __all__ = [
     "theta",
 ]
 
-# Boundary-feature kinds: a feature's kind code is its index here.
-KINDS = ("arc", "gate", "outer-circle")
-ARC, GATE, OUTER = range(len(KINDS))
+# Boundary-feature kind codes: arc, gate, outer circle.
+ARC, GATE, OUTER = 0, 1, 2
 
 
 def _frozen(values) -> np.ndarray:
@@ -362,9 +360,9 @@ def nearest_boundary(z: np.ndarray, d: Domain) -> np.ndarray:
 
 def nearest_feature(z: np.ndarray, d: Domain, dist: np.ndarray):
     """The nearest boundary feature of points ``z``: arrays ``(kind_code,
-    index, modulus)``, where kind_code indexes ``KINDS`` and modulus is
-    that of the feature's nearest point.  Arc k and gate k both start at
-    ``radii[k]``; the outer circle has index n.
+    index, modulus)``, where kind_code is ``ARC``, ``GATE`` or ``OUTER``
+    and modulus is that of the feature's nearest point.  Arc k and gate k
+    both start at ``radii[k]``; the outer circle has index n.
 
     ``dist`` is ``nearest_boundary(z, d)``, which a walk has in hand at
     its exit points.  The features are those of ``nearest_boundary``'s

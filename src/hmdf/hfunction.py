@@ -20,7 +20,6 @@ __all__ = [
     "evaluate",
     "left_limit",
     "minimal_secant_slope",
-    "jump_at_mu",
     "step_approximation",
     "necessary_checks",
     "example_jump_ramp",
@@ -129,11 +128,6 @@ def left_limit(f: CandidateH, i: int) -> float:
     if i == 0:
         return 0.0
     return f.values[i - 1] if f.kinds[i - 1] == CONSTANT else f.values[i]
-
-
-def jump_at_mu(f: CandidateH) -> float:
-    """beta = f(mu), the jump height at the inner radius."""
-    return f.values[0]
 
 
 def minimal_secant_slope(f: CandidateH) -> float:

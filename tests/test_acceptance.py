@@ -18,11 +18,13 @@ from hmdf import bounds, cli, construct, geometry, hfunction
 from hmdf.construct import SolveSettings, solve_circle_domain
 from hmdf.fd import FdSolver
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
-from hmdf.hfunction import StepH, example_jump_ramp
+from hmdf.hfunction import example_jump_ramp
 from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
                             exact_offcenter_disk_h,
                             exact_slit_disk_gate, slit_disk,
                             wos_exit_ensemble)
+
+from baseline import criterion5_targets
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -177,17 +179,10 @@ def test_criterion_4_bound_soundness():
 def test_criterion_5_inversion_round_trip():
     t0 = time.monotonic()
     worst_rt = worst_ws = 0.0
-    for i in range(10):
-        rng = np.random.default_rng([7, i])
-        radii = tuple(float(x) for x in np.cumsum(np.concatenate(
-            [[rng.uniform(0.8, 1.2)], rng.uniform(0.2, 0.6, 2)])))
-        jumps = rng.uniform(0.1, 0.5, 3)
-        cum = np.cumsum(jumps) / jumps.sum()
-        cum[-1] = 1.0
-        steps = StepH(radii, tuple(float(v) for v in cum))
+    for steps in criterion5_targets():
         a = solve_circle_domain(steps, SolveSettings(
             engine="fd", tol=1e-3, warm_start="proportional"))
-        hv = FdSolver(a.domain, n_theta=512).h_table(np.array(radii))
+        hv = FdSolver(a.domain, n_theta=512).h_table(np.array(steps.radii))
         worst_rt = max(worst_rt,
                        float(np.abs(hv - np.array(steps.values)).max()))
         b = solve_circle_domain(steps, SolveSettings(

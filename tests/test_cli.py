@@ -569,17 +569,22 @@ def test_fuzzed_inputs_exit_with_documented_codes(command, dom, fn, env):
     assert code in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize("bad", [10 ** 400, True, "1.0"],
-                         ids=["huge-int", "true", "string"])
+@pytest.mark.parametrize("bad", [str(10 ** 400), "true", '"1.0"',
+                                 "[" * 100_000 + "]" * 100_000],
+                         ids=["huge-int", "true", "string", "nested"])
 @pytest.mark.parametrize("command", _COMMANDS[:5], ids=lambda c: c[0])
 def test_non_number_in_file_exits_two(command, bad, tmp_path):
-    # bad stands where 1.0 makes each file valid: an integer past the float
-    # range ended in an OverflowError traceback, and true and "1.0" read 1.0
+    # the JSON text bad stands where 1.0 makes each file valid: an integer
+    # past the float range ended in an OverflowError traceback, true and
+    # "1.0" read 1.0, and arrays nested past the parser's depth (which
+    # json.dumps cannot write) raised RecursionError and exited 3
     fn = _STEP if command[0] == "invert" else _CANDIDATE
     paths = {"dom": tmp_path / "dom.json", "fn": tmp_path / "fn.json",
              "out": tmp_path / "out"}
-    paths["dom"].write_text(json.dumps({**_CIRCLE, "radii": [bad, 2.0]}))
-    paths["fn"].write_text(json.dumps({**fn, "values": [0.5, bad]}))
+    paths["dom"].write_text(
+        json.dumps({**_CIRCLE, "radii": [None, 2.0]}).replace("null", bad))
+    paths["fn"].write_text(
+        json.dumps({**fn, "values": [0.5, None]}).replace("null", bad))
     err = io.StringIO()
     with mock.patch.dict(os.environ, _GOOD), contextlib.redirect_stderr(err):
         code = cli.main([a.format(**paths) for a in command])

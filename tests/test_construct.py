@@ -16,6 +16,9 @@ from hmdf.fd import FdSolver
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.hfunction import CONSTANT, LINEAR, CandidateH, StepH
 
+from baseline import criterion5_targets
+from workloads import Invert
+
 # Regression value for the two-jump target (0.5 at 1, 0.5 at 2), frozen
 # from the grid solver at resolution 512 after a Monte Carlo inversion
 # agreed with it within their tolerances.
@@ -27,43 +30,6 @@ def _fresh_residual(res, steps, resolution):
     solver = FdSolver(res.domain, n_theta=resolution)
     return float(np.abs(np.cumsum(solver.arc_measures())
                         - np.array(steps.values[:-1])).max())
-
-
-def criterion_5_targets():
-    """The seeded 3-arc targets of acceptance criterion 5."""
-    out = []
-    for i in range(10):
-        rng = np.random.default_rng([7, i])
-        radii = tuple(float(x) for x in np.cumsum(np.concatenate(
-            [[rng.uniform(0.8, 1.2)], rng.uniform(0.2, 0.6, 2)])))
-        jumps = rng.uniform(0.1, 0.5, 3)
-        cum = np.cumsum(jumps) / jumps.sum()
-        cum[-1] = 1.0
-        out.append(StepH(radii, tuple(float(v) for v in cum)))
-    return out
-
-
-def invert_workload_targets(seed):
-    """The benchmark's ``invert`` targets for one seed: ten 3-arc step
-    functions whose first radius, two radius gaps and three jumps are each
-    drawn as a Latin-hypercube column (one value per tenth of its range,
-    shuffled)."""
-    rng = np.random.default_rng(seed)
-    k = 10
-
-    def column(lo, hi):
-        return lo + (hi - lo) * (rng.permutation(k) + rng.random(k)) / k
-
-    radii = np.cumsum(np.stack([column(0.8, 1.2), column(0.2, 0.6),
-                                column(0.2, 0.6)], axis=1), axis=1)
-    jumps = np.stack([column(0.1, 0.5) for _ in range(3)], axis=1)
-    out = []
-    for r, j in zip(radii, jumps):
-        cum = np.cumsum(j) / j.sum()
-        cum[-1] = 1.0
-        out.append(StepH(tuple(float(x) for x in r),
-                         tuple(float(v) for v in cum)))
-    return out
 
 
 class TestSolveCircleDomain:
@@ -147,7 +113,7 @@ class TestSolveCircleDomain:
             hfunction.example_jump_ramp(), n), "profile", id=f"jump_ramp_{n}")
           for n in (2, 4, 8, 16, 32)),
         *(pytest.param(steps, mode, id=f"criterion_5_{i}_{mode}")
-          for i, steps in enumerate(criterion_5_targets())
+          for i, steps in enumerate(criterion5_targets())
           for mode in ("proportional", "uniform"))])
     def test_fresh_grid_residual(self, steps, warm_start):
         # re-measured on a fresh grid at the solve's resolution, the
@@ -160,18 +126,13 @@ class TestSolveCircleDomain:
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_invert_workload_contract(self, seed):
-        # the benchmark's invert check at its resolution 256: from either
-        # warm start the solution meets tol re-measured on a fresh grid,
-        # and the two starts land within 2e-3 of each other
-        for i, steps in enumerate(invert_workload_targets(seed)):
-            psis = []
-            for mode in ("proportional", "uniform"):
-                res = solve_circle_domain(steps, SolveSettings(
-                    resolution=256, warm_start=mode))
-                hv = FdSolver(res.domain, n_theta=256).h_table(steps.radii)
-                assert np.abs(hv - np.array(steps.values)).max() <= 1e-3, (i, mode)
-                psis.append(res.domain.psis)
-            assert np.abs(psis[0] - psis[1]).max() <= 2e-3, i
+        # the benchmark's invert workload passes its own check at its
+        # resolution 256: from either warm start each solve converges and
+        # meets tol re-measured on a fresh grid, and the two starts land
+        # within 2e-3 of each other
+        invert = Invert()
+        targets = invert.inputs(seed)
+        assert invert.check(targets, invert.run(targets, None)).failed == set()
 
     def test_jump_ramp_tight_tolerance_converges(self):
         # below the coarse grid's own floor the coarse level stops with at

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from hmdf import hfunction
 from hmdf.hfunction import (CONSTANT, LINEAR, CandidateH, NecessaryReport,
                             StepH, beurling_bound, evaluate,
-                            example_jump_ramp, jump_at_mu,
-                            left_limit, minimal_secant_slope,
-                            necessary_checks, step_approximation)
+                            example_jump_ramp, left_limit,
+                            minimal_secant_slope, necessary_checks,
+                            step_approximation)
 
 
 class TestCandidateH:
@@ -50,7 +50,6 @@ class TestCandidateH:
     def test_alpha_beta_example(self):
         f = example_jump_ramp()
         assert minimal_secant_slope(f) == pytest.approx(0.5)
-        assert jump_at_mu(f) == 0.5
 
     def test_alpha_single_linear(self):
         f = CandidateH((1.0, 2.0), (0.2, 1.0), (LINEAR,))

@@ -6,7 +6,8 @@ tests use.
 SciPy loads only where an engine needs it, so commands that do not use
 the fd engine start without it, an inversion loads no more of it than
 the fd engine's sparse solver, and a one-batch WoS ensemble starts no
-thread pool."""
+thread pool.  The benchmark's smoke check passes, so a change that breaks
+its metric set, a workload check or a job fails here."""
 import ast
 import dataclasses
 import importlib
@@ -91,6 +92,16 @@ def test_nearest_boundary_cost_records_every_query():
     # each; every later step queries each live walk's point
     assert sum(z.size for z in steps) == ens.steps - 500 + 2
     assert sum(z.size for z, _ in exits) == ens.sample_count
+
+
+def test_benchmark_smoke():
+    # the benchmark's own smoke check: each workload at tiny sizes emits
+    # the metrics of BENCHMARK.json and passes its checks, and each
+    # deliberate perturbation counts as a failed job
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "0 problems"
 
 
 @pytest.mark.parametrize("name", MODULES)
