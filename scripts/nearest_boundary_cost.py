@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Cost of the walk-on-spheres queries per point against the arc count.
 
-For each arc count n it draws one seeded random blocked domain (radii from
-a uniform start in [0.5, 1.5] with gaps in [0.1, 0.5], half-arclengths in
-[0.15, 2.8], 30% of the gates on the axis), and for each n in
-``--ramp-arcs`` one jump-ramp-shaped domain (n arcs within 0.1 in radius,
-psi increasing from 1.52 towards pi, gates inset by 0.0172 below their
-inner arc, as at the pipeline's n = 16 stage).  On each it runs one
+For each arc count n (1 to 16) it draws the benchmark's seeded random
+blocked domain with n arcs (``random_blocked(seed, n - 1)`` of
+``perfbench/workloads.py``, one of its ``measure`` domains), and for each
+n in ``--ramp-arcs`` one jump-ramp-shaped domain (n arcs within 0.1 in
+radius, psi increasing from 1.52 towards pi, gates inset by 0.0172 below
+their inner arc, as at the pipeline's n = 16 stage).  On each it runs one
 ensemble while recording every point array the walks pass to the step
 query ``nearest_boundary`` and to the exit query ``nearest_feature``, and
 then replays the recorded calls.  It prints the calls and points per
@@ -16,7 +16,9 @@ ensemble and the median replay time per point of each query.
 """
 import argparse
 import math
+import pathlib
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -24,16 +26,9 @@ import numpy as np
 from hmdf import geometry, potential
 from hmdf.geometry import BlockedCircleDomain, CircleDomain
 
-
-def random_blocked(n_arcs: int, seed: int) -> BlockedCircleDomain:
-    rng = np.random.default_rng([seed, n_arcs])
-    radii = float(rng.uniform(0.5, 1.5)) + np.concatenate(
-        [[0.0], np.cumsum(rng.uniform(0.1, 0.5, n_arcs))])
-    psis = np.append(rng.uniform(0.15, 2.8, n_arcs), math.pi)
-    caps = np.minimum(psis[:-1], psis[1:])
-    phis = tuple(0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, c))
-                 for c in caps)
-    return BlockedCircleDomain(CircleDomain.from_arrays(radii, psis), phis)
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "perfbench"))
+from workloads import random_blocked
 
 
 def jump_ramp_shaped(n_arcs: int) -> BlockedCircleDomain:
@@ -90,11 +85,14 @@ def main() -> None:
     args = ap.parse_args()
 
     cases = [("random", int(s)) for s in args.arcs.split(",") if s]
+    if any(not 1 <= n <= 16 for _, n in cases):
+        ap.error(f"--arcs takes arc counts from 1 to 16, got {args.arcs}")
     cases += [("ramp", int(s)) for s in args.ramp_arcs.split(",") if s]
     print(f"{'domain':>6} {'arcs':>4} {'calls':>6} {'points':>9} "
           f"{'us/point':>9} {'exits':>7} {'us/exit':>8}")
     for shape, n in cases:
-        dom = random_blocked(n, args.seed) if shape == "random" else jump_ramp_shaped(n)
+        dom = (random_blocked(args.seed, n - 1) if shape == "random"
+               else jump_ramp_shaped(n))
         steps, exits = record_calls(dom, args.walks, args.seed)
         points = sum(z.size for z in steps)
         n_exits = sum(z.size for z, _ in exits)

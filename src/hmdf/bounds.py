@@ -3,7 +3,8 @@ inset-angle schedule.
 
 Every public function here is a bound the construction pipeline
 evaluates: the gate-difference bound |h_X - h_Omega| (``hdiff_bound``,
-through ``gate_axis_bound`` for gates on the axis), the arc-length lower
+the sum of the per-channel ``gate_bounds``, which take
+``gate_axis_bound`` for gates on the axis), the arc-length lower
 bound that each stage checks against its arcs, the closed-form chi
 supremum and its inverse (for the limit-uniformity diagnostics), the
 m-thresholds, and the kappa inset-angle rule.  Vacuous bounds (> 1) are
@@ -19,6 +20,7 @@ from .geometry import BlockedCircleDomain
 __all__ = [
     "Thresholds",
     "gate_axis_bound",
+    "gate_bounds",
     "hdiff_bound",
     "arc_lower_bound",
     "chi_inf",
@@ -36,25 +38,29 @@ def gate_axis_bound(r_k: float, r_k1: float) -> float:
     return (2.0 / math.pi) * math.sqrt((r_k1 - r_k) / r_k)
 
 
-def hdiff_bound(d: BlockedCircleDomain) -> float:
-    """Upper bound on sup_r |h_X(r) - h_Omega(r)| over all radii:
-    curved-channel terms for inset gate pairs plus axis terms for gates on
-    the real axis.  May exceed 1 (vacuous) for weak insets.
+def gate_bounds(d: BlockedCircleDomain) -> list[float]:
+    """Upper bound on each channel's gate measure, in channel order; may
+    exceed 1 (vacuous) for weak insets.  A gate on the axis takes
+    ``gate_axis_bound``.
 
     A gate at the bottom of the curved channel between radii r_k and
     r_{k+1}, chi_k deep, carries at most the curved-channel estimate
     (16/pi) exp(-pi r_k chi_k / (2 (r_{k+1} - r_k))).  A pair has one
     such gate at each of +-phi_k, so its constant is 32/pi, twice 16/pi."""
     r = d.radii
-    phi = d.phis
     chi = d.chis
-    total = 0.0
-    for k in range(len(phi)):
-        if phi[k] > 0.0:
-            total += (32.0 / math.pi) * math.exp(
-                -math.pi * r[k] * chi[k] / (2.0 * (r[k + 1] - r[k])))
-        else:
-            total += gate_axis_bound(r[k], r[k + 1])
+    return [(32.0 / math.pi) * math.exp(
+        -math.pi * r[k] * chi[k] / (2.0 * (r[k + 1] - r[k])))
+        if phi > 0.0 else gate_axis_bound(r[k], r[k + 1])
+        for k, phi in enumerate(d.phis)]
+
+
+def hdiff_bound(d: BlockedCircleDomain) -> float:
+    """Upper bound on sup_r |h_X(r) - h_Omega(r)| over all radii: the sum
+    of ``gate_bounds``, added left to right."""
+    total = 0.0  # not sum(): from Python 3.12 it compensates, moving bits
+    for term in gate_bounds(d):
+        total += term
     return total
 
 
@@ -108,14 +114,19 @@ def chi_inf_inverse(eps: float, alpha: float, mu: float, M: float) -> float:
     hi = M - mu
     if chi_inf(hi, alpha, mu, M) <= eps:
         return hi
-    lo = hi * 1e-18
+    return _bisect(lambda d: chi_inf(d, alpha, mu, M) <= eps, hi * 1e-18, hi)[0]
+
+
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """The last (lo, hi) of 200 bisections for where ``below`` turns
+    false: each midpoint it accepts becomes lo, each it rejects hi."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi_inf(mid, alpha, mu, M) <= eps:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +161,7 @@ def thresholds(alpha: float, beta: float) -> Thresholds:
     m1 = 1.0 / (math.e - 1.0)
     m2 = math.pi ** 2 / (8.0 * math.log(256.0 / (math.pi * alpha)))
     target = math.pi * beta
-    lo, hi = 1e-12, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _g(mid, alpha) < target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda m: _g(m, alpha) < target, 1e-12, 1.0)
     m3 = 0.5 * (lo + hi)
     return Thresholds(m1, m2, m3, abs(_g(m3, alpha) - target))
 

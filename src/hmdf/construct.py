@@ -419,8 +419,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     closed form, and verify the realized h-function by Monte Carlo against
     f and against the universal lower bound.  The verdict needs every
     stage's arc-bound margin to be nonnegative: gates fit only into arcs
-    that long.  Invalid WoS settings (``WosConfig``) raise ValueError
-    before the first stage.
+    that long.  Invalid WoS settings (``WosConfig``) and a
+    ``verify_samples`` below 1 raise ValueError before the first stage.
 
     The inversions run in stage order on one background thread, each
     submitted when the stage before it is taken up, so the inversion of
@@ -433,6 +433,8 @@ def run_pipeline(f: CandidateH, n_list=(2, 4, 8, 16),
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"approximation levels must be strictly increasing, "
                          f"got {', '.join(map(str, n_list))}")
+    if verify_samples < 1:
+        raise ValueError(f"verify_samples must be positive, got {verify_samples}")
     wos = WosConfig(epsilon=settings.epsilon, seed=settings.seed)
     check = check_candidate(f)
     from concurrent.futures import ThreadPoolExecutor  # not at import time

@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import runpy
 import time
 from fractions import Fraction
 
@@ -17,14 +19,13 @@ import pytest
 from hmdf import bounds, cli, construct, geometry, hfunction
 from hmdf.construct import SolveSettings, solve_circle_domain
 from hmdf.fd import FdSolver
-from hmdf.geometry import BlockedCircleDomain, CircleDomain
 from hmdf.hfunction import example_jump_ramp
-from hmdf.potential import (OffCenterDisk, WosConfig, estimate_h,
-                            exact_offcenter_disk_h,
-                            exact_slit_disk_gate, slit_disk,
-                            wos_exit_ensemble)
+from hmdf.potential import WosConfig, estimate_h, wos_exit_ensemble
 
 from baseline import criterion5_targets
+from workloads import random_blocked
+
+ROOT = pathlib.Path(__file__).parents[1]
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -82,42 +83,16 @@ def test_criterion_2_example_certification(tmp_path):
 
 def test_criterion_3_oracle_triangle():
     t0 = time.monotonic()
-    fails = []
-
-    # off-center disk B(0.5, 1): Monte Carlo h against the closed form
-    radii = [0.55, 0.8, 1.0, 1.2, 1.45]
-    tab = estimate_h(OffCenterDisk(0.5, 1.0), radii, 0.0, 1_000_000,
-                     WosConfig(epsilon=1e-5, seed=101))
-    for r, est in zip(tab.radii, tab.estimates):
-        exact = exact_offcenter_disk_h(0.5, 1.0, r)
-        if abs(est.value - exact) > max(3.0 * est.std_error, 1e-12):
-            fails.append(f"offcenter r={r}")
-
-    # slit disk B(0, 2) minus [1, 2]: Monte Carlo, grid solver with
-    # Richardson extrapolation, and the closed form, pairwise
-    dom = slit_disk(1.0, 1.5, 2.0)
-    ens = wos_exit_ensemble(dom, 0.0, 1_000_000,
-                            WosConfig(epsilon=1e-5, seed=102))
-    on_slit = ens.kinds != geometry.OUTER
-    lo_half = on_slit & (ens.moduli <= 1.5 + 1e-6)
-    n = ens.sample_count
-    wos = np.array([lo_half.sum() / n, (on_slit & ~lo_half).sum() / n])
-    se = np.sqrt(wos * (1.0 - wos) / n)
-    lo = FdSolver(dom, n_theta=256).gate_measures()
-    hi = FdSolver(dom, n_theta=512).gate_measures()
-    rich = 2.0 * hi - lo
-    grid_err = float(np.abs(hi - lo).max())
-    exact = np.array([exact_slit_disk_gate(1.0, 1.5, 2.0),
-                      exact_slit_disk_gate(1.0, 2.0, 2.0)
-                      - exact_slit_disk_gate(1.0, 1.5, 2.0)])
-    for k in range(2):
-        tol = max(3.0 * se[k], 2.0 * grid_err)
-        if abs(wos[k] - exact[k]) > tol:
-            fails.append(f"slit wos/exact k={k}")
-        if abs(rich[k] - exact[k]) > tol:
-            fails.append(f"slit fd/exact k={k}")
-        if abs(wos[k] - rich[k]) > tol:
-            fails.append(f"slit wos/fd k={k}")
+    disk, slit, grid_err = runpy.run_path(
+        str(ROOT / "scripts" / "oracle_triangle.py"),
+        run_name="imported")["triangle"](1_000_000, 101)
+    fails = [f"offcenter r={r}" for r, value, exact, se in disk
+             if abs(value - exact) > max(3.0 * se, 1e-12)]
+    for k, (wos, fd, exact, se) in enumerate(slit):
+        tol = max(3.0 * se, 2.0 * grid_err)
+        fails += [f"slit {pair} k={k}" for pair, a, b in (
+            ("wos/exact", wos, exact), ("fd/exact", fd, exact),
+            ("wos/fd", wos, fd)) if abs(a - b) > tol]
     elapsed = time.monotonic() - t0
     ok = not fails and elapsed < 120.0
     _report(3, ok, f"{len(fails)} disagreements "
@@ -125,49 +100,24 @@ def test_criterion_3_oracle_triangle():
                    + (f"; {fails}" if fails else ""))
 
 
-def _random_blocked(i: int):
-    rng = np.random.default_rng([42, i])
-    n_arcs = int(rng.integers(1, 7))
-    r0 = float(rng.uniform(0.5, 1.5))
-    radii = r0 + np.concatenate([[0.0],
-                                 np.cumsum(rng.uniform(0.1, 0.5, n_arcs))])
-    psis = np.append(rng.uniform(0.15, 2.8, n_arcs), math.pi)
-    base = CircleDomain.from_arrays(radii, psis)
-    caps = np.minimum(psis[:-1], psis[1:])
-    phis = tuple(0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, c))
-                 for c in caps)
-    return base, BlockedCircleDomain(base, phis)
-
-
 def test_criterion_4_bound_soundness():
+    # the benchmark's random blocked domains, 1 to 16 arcs
     t0 = time.monotonic()
     violations = []
     for i in range(20):
-        base, om = _random_blocked(i)  # raises unless valid
-        radii = base.radii
-        caps = np.minimum(base.psis[:-1], base.psis[1:])
+        om = random_blocked(42, i)
         ens = wos_exit_ensemble(om, 0.0, 100_000, WosConfig(seed=1000 + i))
         m = ens.sample_count
-        for k, phi in enumerate(om.phis):
-            hits = np.count_nonzero((ens.kinds == geometry.GATE)
-                                    & (ens.indices == k))
-            if hits == 0:
-                continue
-            value = hits / m
-            std_error = math.sqrt(value * (1.0 - value) / m)
-            dr = radii[k + 1] - radii[k]
-            if phi > 0.0:
-                bound = (32.0 / math.pi) * math.exp(
-                    -math.pi * radii[k] * (caps[k] - phi) / (2.0 * dr))
-            else:
-                bound = (2.0 / math.pi) * math.sqrt(dr / radii[k])
-            if value > bound + 3.0 * std_error:
-                violations.append(f"gate i={i} k={k}")
-        rs = np.linspace(0.5 * radii[0], radii[-1], 60)
+        value = np.bincount(ens.indices[ens.kinds == geometry.GATE],
+                            minlength=len(om.phis)) / m
+        low = value - 3.0 * np.sqrt(value * (1.0 - value) / m)
+        violations += [f"gate i={i} k={k}" for k in
+                       np.flatnonzero(low > bounds.gate_bounds(om))]
+        rs = np.linspace(0.5 * om.radii[0], om.radii[-1], 60)
         t_om = estimate_h(om, rs, 0.0, 100_000, WosConfig(seed=3000 + i))
-        t_x = estimate_h(base, rs, 0.0, 100_000, WosConfig(seed=4000 + i))
-        gap = np.abs(np.array(t_x.values) - np.array(t_om.values))
-        slack = 3.0 * (np.array(t_x.std_errors) + np.array(t_om.std_errors))
+        t_x = estimate_h(om.base, rs, 0.0, 100_000, WosConfig(seed=4000 + i))
+        gap = np.abs(t_x.values - t_om.values)
+        slack = 3.0 * (t_x.std_errors + t_om.std_errors)
         if np.any(gap > bounds.hdiff_bound(om) + slack):
             violations.append(f"hdiff i={i}")
     elapsed = time.monotonic() - t0

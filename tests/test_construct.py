@@ -311,19 +311,24 @@ class TestPipeline:
         for a, b in zip(rep.stages, rep.stages[1:]):
             assert b.sup_gap <= a.sup_gap + 3.0 * (a.sup_gap_se + b.sup_gap_se)
 
-    def test_short_arc_fails_the_arc_bound(self, monkeypatch):
-        # the outermost proper arc cut to 0.2, below its arc-length lower
-        # bound of about 0.30; every other check still passes
+    @staticmethod
+    def cut_arc(monkeypatch, k, psi):
+        # every inversion returns its domain with arc k cut to psi
         solve = construct.solve_circle_domain
 
-        def short_outer_arc(steps, settings):
+        def cut(steps, settings):
             res = solve(steps, settings)
             psis = res.domain.psis.copy()
-            psis[-2] = 0.2
+            psis[k] = psi
             return dataclasses.replace(res, domain=CircleDomain.from_arrays(
                 res.domain.radii, psis))
 
-        monkeypatch.setattr(construct, "solve_circle_domain", short_outer_arc)
+        monkeypatch.setattr(construct, "solve_circle_domain", cut)
+
+    def test_short_arc_fails_the_arc_bound(self, monkeypatch):
+        # the outermost proper arc cut to 0.2, below its arc-length lower
+        # bound of about 0.30; every other check still passes
+        self.cut_arc(monkeypatch, -2, 0.2)
         f = hfunction.example_jump_ramp()
         rep = construct.run_pipeline(f, n_list=(2,), verify_samples=20_000)
         (st,) = rep.stages
@@ -333,6 +338,13 @@ class TestPipeline:
         assert (rep.check.ok and rep.gaps_nonincreasing and rep.sigma_vanishes
                 and rep.ulc_ok and st.beurling_ok)
         assert rep.verdict == "FAIL"
+
+    def test_verify_samples_checked_before_any_inversion(self, monkeypatch):
+        monkeypatch.setattr(construct, "solve_circle_domain", lambda *args:
+                            pytest.fail("inverted before checking the walks"))
+        with pytest.raises(ValueError, match="verify_samples must be positive"):
+            construct.run_pipeline(hfunction.example_jump_ramp(), (2, 4, 8),
+                                   verify_samples=0)
 
     @pytest.mark.parametrize("n_list", [(4, 2), (2, 2)],
                              ids=["decreasing", "repeated"])
@@ -438,11 +450,17 @@ class TestPipeline:
         assert len(calls) <= 2  # stage 1 and at most the stage after it
         assert threading.active_count() == before
 
-    def test_sigma_counts_small_arcs(self):
-        x = CircleDomain.from_arrays([1.0, 1.5, 2.0], [0.01, 1.0, math.pi])
-        kap = 0.05
-        psis = x.psis[:-1]
-        assert int(np.sum(psis <= kap)) == 1
+    def test_sigma_counts_small_arcs(self, monkeypatch):
+        # the innermost arc cut to 0.02, below kappa_2 = 0.0344: sigma_n
+        # counts it, so sigma does not vanish at the last stage
+        self.cut_arc(monkeypatch, 0, 0.02)
+        rep = construct.run_pipeline(hfunction.example_jump_ramp(), n_list=(2,),
+                                     verify_samples=20_000)
+        (st,) = rep.stages
+        assert st.circle.psis[0] == 0.02 < st.kappa_n
+        assert st.sigma_n == 1
+        assert not rep.sigma_vanishes
+        assert rep.verdict == "FAIL"
 
 
 class TestBoundaryProfile:

@@ -1,5 +1,6 @@
-"""Every script imports and every name a module exports exists, so a
-deletion that leaves a dangling import or ``__all__`` entry fails here;
+"""Every script imports, four scripts' ``main`` run to exit 0 on small
+inputs, and every name a module exports exists, so a deletion that
+leaves a dangling import or ``__all__`` entry fails here;
 nor does a module or script import a name it never uses, nor does a
 module export a function or a settings class hold a field that only the
 tests use.
@@ -67,6 +68,22 @@ def test_script_imports(path):
     runpy.run_path(str(path), run_name="imported")
 
 
+SCRIPT_RUNS = {  # small inputs, and how each script's output begins
+    "oracle_triangle": ("--samples 20000", "off-center disk B(0.5, 1):"),
+    "nearest_boundary_cost": ("--walks 500 --arcs 1,2 --ramp-arcs 2 "
+                              "--repeats 1", "domain arcs  calls"),
+    "run_example_pipeline": ("--n-list 2 --samples 2000", "candidate: mu=1 "),
+    "invert_demo": ("--resolution 64", "converged in "),
+}
+
+
+@pytest.mark.parametrize("name", SCRIPT_RUNS)
+def test_script_main(name):
+    args, header = SCRIPT_RUNS[name]
+    out = run_fresh(str(ROOT / "scripts" / f"{name}.py"), *args.split())
+    assert out.startswith(header)
+
+
 def test_fd_cost_build_row():
     # each build records its layer seconds, which sum to at most the whole
     # build that fd_cost times around the constructor, and its LU fill
@@ -85,7 +102,7 @@ def test_fd_cost_build_row():
 def test_nearest_boundary_cost_records_every_query():
     script = runpy.run_path(str(ROOT / "scripts" / "nearest_boundary_cost.py"),
                             run_name="imported")
-    dom = script["random_blocked"](2, 11)
+    dom = script["random_blocked"](11, 1)  # the 2-arc domain at seed 11
     steps, exits = script["record_calls"](dom, 500, 11)
     ens = potential.wos_exit_ensemble(dom, 0.0, 500, WosConfig(seed=11))
     # the interior check and the one start query of all walks pass a point
@@ -192,12 +209,12 @@ def test_every_setting_is_passed_outside_the_tests(cls):
     assert {f.name for f in dataclasses.fields(cls)} - passed == set()
 
 
-def run_fresh(code, *args):
-    """Standard output of ``code`` run in a fresh interpreter on this
-    package."""
+def run_fresh(*argv):
+    """Standard output of ``python *argv`` run in a fresh interpreter on
+    this package; it must exit 0."""
     src = pathlib.Path(hmdf.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    out = subprocess.run([sys.executable, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -208,7 +225,7 @@ def test_import_loads_no_scipy(module, prefix):
     code = (f"import sys, {module}\n"
             f"p = {prefix!r}\n"
             "print([m for m in sys.modules if m == p or m.startswith(p + '.')])")
-    assert run_fresh(code) == "[]\n"
+    assert run_fresh("-c", code) == "[]\n"
 
 
 def test_import_loads_no_thread_pool():
@@ -216,7 +233,7 @@ def test_import_loads_no_thread_pool():
     # setup, which imports construct, never loads it
     code = ("import sys, hmdf.cli, hmdf.construct\n"
             "print('concurrent.futures' in sys.modules)")
-    assert run_fresh(code) == "False\n"
+    assert run_fresh("-c", code) == "False\n"
 
 
 def test_inversion_loads_no_optimizer():
@@ -228,7 +245,7 @@ steps = hfunction.step_approximation(hfunction.example_jump_ramp(), 4)
 res = construct.solve_circle_domain(steps, construct.SolveSettings(resolution=64))
 print(res.converged, [m for m in sys.modules if m.startswith("scipy.optimize")])
 """
-    assert run_fresh(code) == "True []\n"
+    assert run_fresh("-c", code) == "True []\n"
 
 
 def test_one_batch_ensemble_starts_no_thread_pool():
@@ -242,4 +259,4 @@ d = CircleDomain.from_arrays([1.0, 1.5], [1.0, 3.141592653589793])
 wos_exit_ensemble(d, 0.0, 1000, WosConfig(seed=0))
 print("concurrent.futures" in sys.modules, threading.active_count())
 """
-    assert run_fresh(code) == "False 1\n"
+    assert run_fresh("-c", code) == "False 1\n"
